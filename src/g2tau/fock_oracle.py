@@ -1,22 +1,31 @@
 """Truncated Fock-space ground truth for the amplifier photon statistics.
 
 Everything the closed forms in :mod:`g2tau.gaussian_core` predict is rebuilt
-here by brute force: dense matrices on the lowest `dim` number states, the
-state as an explicit density matrix, the evolution as a matrix exponential,
-and every expectation as a trace.  Nothing is shared with the closed-form
-path beyond the parameter dataclasses (the closed-form displacement is only
-consulted to *size* the working space, never for the evolved values), so
-agreement between the two is a real cross-check rather than a tautology.
+here by brute force: dense matrices on the lowest number states, the state
+as an explicit density matrix, the evolution from an exact
+eigendecomposition of the truncated Hamiltonian, and every expectation as a
+trace.  Nothing is shared with the closed-form path beyond the parameter
+dataclasses (the closed-form flow is only consulted to *size* the working
+space, never for the evolved values), so agreement between the two is a
+real cross-check rather than a tautology.
 
-All matrix exponentials go through eigendecompositions so the resulting
-operators are unitary to roundoff.  The state preparation and the evolved
-operator are both built in a working space enlarged enough that squeeze
+The state is prepared in a working space enlarged enough that squeeze
 stretch and displacement stay inside the basis, then cropped to the
-requested dimension; the remaining error is set by the state's own Fock
-tail, which is what convergence_check measures.  The
-heavy intermediates (ladder pair, density matrix, Hamiltonian eigensystem,
-evolved annihilation operator) are memoized on the frozen parameter
-dataclasses; the public functions return defensive copies.
+requested dimension `dim`; the remaining error is set by the state's own
+Fock tail, which is what convergence_check measures.  The squeeze never
+mixes even and odd number states, so it is exponentiated block by block.
+
+A delay sweep (:func:`oracle_sweep`) evolves in one working basis of N
+states, sized for the largest flow stretch and shift over its delays.  One
+eigendecomposition H = V diag(w) V† serves every delay: with the phases
+Phi = exp(i tau w) and n the number operator on the working basis,
+
+    Tr[rho n(tau)]      = sum_jk Phi_j Mr_jk conj(Phi_k),  Mr = (V† rho V)^T ∘ (V† n V)
+    Tr[rho a† n(tau) a] = sum_jk Phi_j Mx_jk conj(Phi_k),  Mx = (V† a rho a† V)^T ∘ (V† n V)
+
+so after the O(N³) setup each delay costs O(N²), and delays are evaluated
+in blocks of fixed size.  Nothing of size N outlives the call; only the
+dim x dim density matrices are memoized, and gaussian_rho returns copies.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +47,7 @@ from .param_map import HamiltonianParams
 
 __all__ = [
     "TruncationReport",
+    "OracleSweep",
     "ladder_operators",
     "displacement",
     "squeeze",
@@ -44,6 +55,7 @@ __all__ = [
     "gaussian_rho",
     "hamiltonian_matrix",
     "heisenberg_a_matrix",
+    "oracle_sweep",
     "mean_n_oracle",
     "g2_oracle",
     "convergence_check",
@@ -51,6 +63,12 @@ __all__ = [
 
 # Tolerated imaginary residue on traces that are real by Hermiticity.
 _IMAG_TOL = 1e-8
+
+# Delays evaluated per matrix product in oracle_sweep; its scratch is
+# O(_DELAY_BLOCK * N) however many delays a sweep has.
+_DELAY_BLOCK = 64
+
+_VACUUM = "g2 is undefined for the vacuum state (zero mean photon number)"
 
 
 @dataclass(frozen=True)
@@ -67,31 +85,43 @@ class TruncationReport:
     g2_rel_change: float
 
 
+@dataclass(frozen=True, eq=False)
+class OracleSweep:
+    """Oracle traces over a delay grid, all evaluated in one working basis.
+
+    mean_0 is Tr[rho a† a]; mean_n[i] and numerator[i] are Tr[rho n(tau_i)]
+    and Tr[rho a† n(tau_i) a].
+    """
+
+    mean_0: float
+    mean_n: np.ndarray
+    numerator: np.ndarray
+
+    @property
+    def g2(self) -> np.ndarray:
+        """numerator / (mean_0 mean_n) per delay; undefined for a vacuum-like state."""
+        if self.mean_0 == 0.0 or not np.all(self.mean_n):
+            # a state indistinguishable from vacuum at this precision
+            raise UndefinedCoherenceError(_VACUUM)
+        return self.numerator / (self.mean_0 * self.mean_n)
+
+
 def _require_dim(dim: int) -> None:
     if dim < 2:
         raise ValueError(f"truncation dimension must be >= 2, got {dim}")
 
 
-@lru_cache(maxsize=64)
-def _ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    _require_dim(dim)
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-    adag = a.conj().T
-    a.setflags(write=False)
-    adag.setflags(write=False)
-    return a, adag
-
-
 def ladder_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation and creation matrices on the lowest `dim` number states."""
-    a, adag = _ladder(dim)
-    return a.copy(), adag.copy()
+    _require_dim(dim)
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+    return a, a.conj().T
 
 
-def _expi_hermitian(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(1j * scale * h) for Hermitian h, via eigendecomposition."""
+def _expi_hermitian(h: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """The first `rows` rows (default all) of exp(1j * h) for Hermitian h."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * scale * w)) @ v.conj().T
+    return (v[:rows] * np.exp(1j * w)) @ v.conj().T
 
 
 # Dense eigensystems above this size cost minutes, not seconds.  The working
@@ -108,7 +138,7 @@ def _working_dim(dim: int, stretch_r: float, shift_mag: float) -> int:
     the squeezed-and-displaced object draws on roughly
     (sqrt(dim) e^{stretch_r} + |shift|)² number states; a few vacuum widths
     of margin absorb the Gaussian edges.  Stretch and shift are quantized
-    upward so nearby parameters reuse one cached build.
+    upward so nearby parameters share one working dimension.
     """
     stretch = math.exp(min(0.4 * math.ceil(stretch_r / 0.4 - 1e-9), 1.2))
     pad = 4.0 + 2.0 * min(math.ceil(shift_mag / 2.0 - 1e-9), 6)
@@ -117,32 +147,40 @@ def _working_dim(dim: int, stretch_r: float, shift_mag: float) -> int:
     return max(dim, min(working, max(_WORKING_DIM_CAP, dim)))
 
 
-@lru_cache(maxsize=16)
-def _displacement(alpha: complex, dim: int) -> np.ndarray:
-    a, adag = _ladder(dim)
+def _displacement(alpha: complex, dim: int, rows: int | None = None) -> np.ndarray:
+    a, adag = ladder_operators(dim)
     gen = alpha * adag - np.conjugate(alpha) * a  # anti-Hermitian
-    out = _expi_hermitian(-1j * gen)
-    out.setflags(write=False)
-    return out
+    return _expi_hermitian(-1j * gen, rows)
 
 
-@lru_cache(maxsize=16)
-def _squeeze(xi: complex, dim: int) -> np.ndarray:
-    a, adag = _ladder(dim)
-    gen = 0.5 * np.conjugate(xi) * (a @ a) - 0.5 * xi * (adag @ adag)
-    out = _expi_hermitian(-1j * gen)
-    out.setflags(write=False)
-    return out
+def _squeeze_blocks(xi: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """S(xi) restricted to the even and to the odd number states.
+
+    The generator (xi*/2) a² - (xi/2) a†² couples n only to n ± 2, so S never
+    mixes parities, and on each parity the generator is tridiagonal: entry
+    (n, n + 2) of -1j times it is -(1j/2) xi* sqrt((n + 1)(n + 2)).
+    """
+    _require_dim(dim)
+    n = np.arange(dim - 2)
+    pair = -0.5j * np.conjugate(xi) * np.sqrt((n + 1.0) * (n + 2.0))
+    blocks = []
+    for parity in (0, 1):
+        k = np.diag(pair[parity::2], 1)
+        blocks.append(_expi_hermitian(k + k.conj().T))
+    return blocks[0], blocks[1]
 
 
 def displacement(alpha: complex, dim: int) -> np.ndarray:
     """Displacement matrix D(alpha) = exp(alpha a† - alpha* a)."""
-    return _displacement(complex(alpha), dim).copy()
+    return _displacement(complex(alpha), dim)
 
 
 def squeeze(xi: complex, dim: int) -> np.ndarray:
     """Squeeze matrix S(xi) = exp((xi*/2) a² - (xi/2) a†²)."""
-    return _squeeze(complex(xi), dim).copy()
+    out = np.zeros((dim, dim), dtype=complex)
+    for parity, block in enumerate(_squeeze_blocks(complex(xi), dim)):
+        out[parity::2, parity::2] = block
+    return out
 
 
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
@@ -165,7 +203,10 @@ def _gaussian_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
     # product built directly at `dim` has its edge rows corrupted by the
     # truncated operator products.
     big = _working_dim(dim, state.xi.r, abs(state.alpha))
-    prep_top = _displacement(state.alpha, big)[:dim, :] @ _squeeze(state.xi.xi, big)
+    d_top = _displacement(state.alpha, big, rows=dim)
+    prep_top = np.empty_like(d_top)
+    for parity, block in enumerate(_squeeze_blocks(state.xi.xi, big)):
+        prep_top[:, parity::2] = d_top[:, parity::2] @ block
     rho = (prep_top * _thermal_weights(state.nbar, big)) @ prep_top.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
@@ -199,32 +240,17 @@ def hamiltonian_matrix(params: HamiltonianParams, dim: int) -> np.ndarray:
     return h
 
 
-@lru_cache(maxsize=8)
-def _hamiltonian_eig(params: HamiltonianParams, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(hamiltonian_matrix(params, dim))
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
-
-
-@lru_cache(maxsize=16)
-def _a_of_tau(params: HamiltonianParams, tau: float, dim: int) -> np.ndarray:
-    if tau < 0.0:
-        raise ValueError(f"delay must be >= 0, got {tau}")
-    big = _working_dim(
-        dim,
-        r_of_tau(params.c, tau),
-        abs(alpha_of_tau(params.b, params.c, tau)),
+def _evolution_dim(params: HamiltonianParams, taus: Sequence[float], dim: int) -> int:
+    """Working dimension holding the flow's stretch and shift at every delay."""
+    return max(
+        _working_dim(dim, r_of_tau(params.c, tau), abs(alpha_of_tau(params.b, params.c, tau)))
+        for tau in taus
     )
-    w, v = _hamiltonian_eig(params, big)
-    # Rows 0..dim of U = V e^{i tau w} V†; the crop of U a U† only needs them.
-    u_top = (v[:dim, :] * np.exp(1j * tau * w)) @ v.conj().T
-    # u_top @ a: the annihilation matrix shifts columns and scales by sqrt(n).
-    ua = np.zeros_like(u_top)
-    ua[:, 1:] = u_top[:, :-1] * np.sqrt(np.arange(1.0, big))
-    a_tau = ua @ u_top.conj().T
-    a_tau.setflags(write=False)
-    return a_tau
+
+
+def _hamiltonian_eig(params: HamiltonianParams, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and eigenvectors V of H = V diag(w) V† on `dim` states."""
+    return np.linalg.eigh(hamiltonian_matrix(params, dim))
 
 
 def heisenberg_a_matrix(params: HamiltonianParams, tau: float, dim: int) -> np.ndarray:
@@ -235,56 +261,85 @@ def heisenberg_a_matrix(params: HamiltonianParams, tau: float, dim: int) -> np.n
     result is cropped back to `dim`; without the headroom the top of the
     block would be corrupted by truncation.
     """
-    return _a_of_tau(params, tau, dim).copy()
+    big = _evolution_dim(params, [tau], dim)
+    w, v = _hamiltonian_eig(params, big)
+    # Rows 0..dim of U = V e^{i tau w} V†; the crop of U a U† only needs them.
+    u_top = (v[:dim, :] * np.exp(1j * tau * w)) @ v.conj().T
+    # u_top @ a: the annihilation matrix shifts columns and scales by sqrt(n).
+    ua = np.zeros_like(u_top)
+    ua[:, 1:] = u_top[:, :-1] * np.sqrt(np.arange(1.0, big))
+    return ua @ u_top.conj().T
 
 
-def _real_trace(value: complex, what: str) -> float:
-    if abs(value.imag) > _IMAG_TOL:
-        raise ArithmeticError(
-            f"{what} should be real, got imaginary residue {value.imag:g}"
+def _real_trace(values: np.ndarray, what: str) -> np.ndarray:
+    worst = float(np.abs(values.imag).max())
+    if worst > _IMAG_TOL:
+        raise ArithmeticError(f"{what} should be real, got imaginary residue {worst:g}")
+    return values.real
+
+
+def oracle_sweep(
+    state: GaussianStateParams,
+    params: HamiltonianParams,
+    taus: Sequence[float],
+    dim: int,
+) -> OracleSweep:
+    """Tr[rho n(tau)] and Tr[rho a† n(tau) a] at every delay of `taus`.
+
+    rho is the state's density matrix on the lowest `dim` number states and
+    n(tau) = e^{iH tau} n e^{-iH tau} acts on one working basis sized for
+    the whole sweep, so the Hamiltonian is diagonalized once per call.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1 or taus.size == 0:
+        raise ValueError("taus must be a non-empty sequence of delays")
+    big = _evolution_dim(params, taus, dim)
+    rho = _gaussian_rho(state, dim)
+    w, v = _hamiltonian_eig(params, big)
+    number = (v.conj().T * np.arange(big, dtype=float)) @ v  # V† n V
+    v_top = v[:dim].copy()  # rho and a rho a† live on the lowest dim states
+    del v
+    v_top_h = v_top.conj().T
+    # a rho a†: rho moved down one level, sqrt(n) weights on both sides.
+    root = np.sqrt(np.arange(1.0, dim))
+    lowered = np.zeros_like(rho)
+    lowered[:-1, :-1] = root[:, None] * rho[1:, 1:] * root
+    m_rho = (v_top_h @ rho @ v_top).T
+    m_rho *= number
+    m_x = (v_top_h @ lowered @ v_top).T
+    m_x *= number
+    del number
+
+    mean_n = np.empty(taus.size)
+    numerator = np.empty(taus.size)
+    for start in range(0, taus.size, _DELAY_BLOCK):
+        block = slice(start, start + _DELAY_BLOCK)
+        phase = np.exp(1j * np.outer(taus[block], w))
+        back = phase.conj()
+        numerator[block] = _real_trace(
+            np.einsum("bj,bj->b", phase @ m_x, back), "g2 numerator"
         )
-    return value.real
+        mean_n[block] = _real_trace(
+            np.einsum("bj,bj->b", phase @ m_rho, back), "delayed photon number"
+        )
+    mean_0 = float(np.arange(dim) @ rho.diagonal().real)
+    return OracleSweep(mean_0=mean_0, mean_n=mean_n, numerator=numerator)
 
 
 def mean_n_oracle(
     state: GaussianStateParams, params: HamiltonianParams, tau: float, dim: int
 ) -> float:
-    """Tr[rho a†(tau) a(tau)] on the truncated space."""
-    rho = _gaussian_rho(state, dim)
-    a_tau = _a_of_tau(params, tau, dim)
-    value = np.einsum("ij,ji->", rho, a_tau.conj().T @ a_tau)
-    return _real_trace(complex(value), "mean photon number")
+    """Tr[rho n(tau)] on the truncated space."""
+    return float(oracle_sweep(state, params, [tau], dim).mean_n[0])
 
 
 def g2_oracle(
     state: GaussianStateParams, params: HamiltonianParams, tau: float, dim: int
 ) -> float:
-    """Tr[rho a† a†(tau) a(tau) a] / (Tr[rho a† a] Tr[rho a†(tau) a(tau)])."""
+    """Tr[rho a† n(tau) a] / (Tr[rho a† a] Tr[rho n(tau)])."""
     if state.is_vacuum:
-        raise UndefinedCoherenceError(
-            "g2 is undefined for the vacuum state (zero mean photon number)"
-        )
-    rho = _gaussian_rho(state, dim)
-    a, adag = _ladder(dim)
-    a_tau = _a_of_tau(params, tau, dim)
-    n_tau_op = a_tau.conj().T @ a_tau
-
-    numerator = _real_trace(
-        complex(np.einsum("ij,ji->", rho, adag @ n_tau_op @ a)),
-        "g2 numerator",
-    )
-    mean_0 = _real_trace(
-        complex(np.einsum("ij,ji->", rho, adag @ a)), "initial photon number"
-    )
-    mean_tau = _real_trace(
-        complex(np.einsum("ij,ji->", rho, n_tau_op)), "delayed photon number"
-    )
-    if mean_0 == 0.0 or mean_tau == 0.0:
-        # a state indistinguishable from vacuum at this precision
-        raise UndefinedCoherenceError(
-            "g2 is undefined for the vacuum state (zero mean photon number)"
-        )
-    return numerator / (mean_0 * mean_tau)
+        raise UndefinedCoherenceError(_VACUUM)
+    return float(oracle_sweep(state, params, [tau], dim).g2[0])
 
 
 def _tail_mass(rho: np.ndarray) -> float:
@@ -293,15 +348,21 @@ def _tail_mass(rho: np.ndarray) -> float:
 
 
 def convergence_check(
-    state: GaussianStateParams, params: HamiltonianParams, tau: float, dim: int
+    state: GaussianStateParams,
+    params: HamiltonianParams,
+    tau: float,
+    dim: int,
+    g2_base: float | None = None,
 ) -> TruncationReport:
     """Probe truncation adequacy by doubling the dimension.
 
     Converged means the relative g2 change under doubling stays below 1e-6
     and the top 10% of the base-dim number basis holds less than 1e-8 of the
-    population.
+    population.  A caller that already holds g2 at (tau, dim), say from a
+    sweep, passes it as g2_base so only the doubled point is built.
     """
-    g2_base = g2_oracle(state, params, tau, dim)
+    if g2_base is None:
+        g2_base = g2_oracle(state, params, tau, dim)
     g2_doubled = g2_oracle(state, params, tau, 2 * dim)
     rel_change = abs(g2_doubled - g2_base) / abs(g2_doubled)
     tail = _tail_mass(_gaussian_rho(state, dim))

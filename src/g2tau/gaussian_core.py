@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_SMALLEST_NORMAL = sys.float_info.min
 
 # Below this pair-coupling magnitude the flow shift switches to its series
 # form; the truncated terms are O(|c|^2 tau^3).
@@ -272,6 +274,12 @@ def coherence_sample(
     coh = alpha * amp.conjugate() + alpha.conjugate() * amp
     anom = alpha * amp * phase.conjugate() + alpha.conjugate() * amp.conjugate() * phase
     numerator = n_corr * n_corr + s_corr * s_corr + coh.real * n_corr - anom.real * s_corr
+    denominator = mean0 * mean_t
+    if denominator >= _SMALLEST_NORMAL:
+        ratio = numerator / denominator
+    else:
+        # the product of two tiny means underflows: divide one at a time
+        ratio = numerator / mean0 / mean_t
 
     return CoherenceSample(
         tau=tau,
@@ -279,7 +287,7 @@ def coherence_sample(
         mean_n=mean_t,
         n_tau=n_corr,
         s_tau=s_corr,
-        g2=1.0 + numerator / (mean0 * mean_t),
+        g2=1.0 + ratio,
         A_tau=amp,
     )
 

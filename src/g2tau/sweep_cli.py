@@ -24,15 +24,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, TextIO
 
-from .fock_oracle import (
-    TruncationReport,
-    convergence_check,
-    g2_oracle,
-    mean_n_oracle,
-)
+from .fock_oracle import TruncationReport, convergence_check, oracle_sweep
 from .gaussian_core import (
     CoherenceSample,
     GaussianStateParams,
@@ -167,6 +162,8 @@ def _load_config_file(path: str) -> dict:
 def _as_float(name: str, value: object) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
@@ -180,8 +177,8 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     """Resolve flags, optional config file, and defaults into a RunConfig.
 
     Precedence: explicit flags > config file > built-in defaults.  Any
-    violated range (negative nbar or r, non-positive times, steps < 1,
-    oracle_dim < 2 when the oracle runs) is a UsageError.
+    violated range (a non-finite float, negative nbar or r, non-positive
+    times, steps < 1, oracle_dim < 2 when the oracle runs) is a UsageError.
     """
     namespace = _build_parser().parse_args(argv)
     merged = dict(_DEFAULTS)
@@ -215,10 +212,10 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
         raise UsageError(f"r must be >= 0, got {r}")
     if alpha_mag < 0.0:
         raise UsageError(f"alpha-mag must be >= 0, got {alpha_mag}")
-    if not (math.isfinite(t_gen) and t_gen > 0.0):
-        raise UsageError(f"t-gen must be finite and > 0, got {t_gen}")
-    if not (math.isfinite(tau_max) and tau_max > 0.0):
-        raise UsageError(f"tau-max must be finite and > 0, got {tau_max}")
+    if t_gen <= 0.0:
+        raise UsageError(f"t-gen must be > 0, got {t_gen}")
+    if tau_max <= 0.0:
+        raise UsageError(f"tau-max must be > 0, got {tau_max}")
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
     if mode != "closed_form" and oracle_dim < 2:
@@ -262,19 +259,13 @@ def run_sweep(config: RunConfig) -> list[CoherenceSample]:
             "g2 is undefined for the vacuum state (zero mean photon number)"
         )
     params = _couplings(config)
-    rows = [coherence_sample(state, params.b, params.c, tau) for tau in _tau_grid(config)]
+    taus = _tau_grid(config)
+    rows = [coherence_sample(state, params.b, params.c, tau) for tau in taus]
     if config.mode == "oracle":
+        sweep = oracle_sweep(state, params, taus, config.oracle_dim)
         rows = [
-            CoherenceSample(
-                tau=row.tau,
-                r_tau=row.r_tau,
-                mean_n=mean_n_oracle(state, params, row.tau, config.oracle_dim),
-                n_tau=row.n_tau,
-                s_tau=row.s_tau,
-                g2=g2_oracle(state, params, row.tau, config.oracle_dim),
-                A_tau=row.A_tau,
-            )
-            for row in rows
+            replace(row, mean_n=mean_n, g2=g2)
+            for row, mean_n, g2 in zip(rows, sweep.mean_n.tolist(), sweep.g2.tolist())
         ]
     return rows
 
@@ -291,7 +282,7 @@ def _compare_sweep(
     params = _couplings(config)
     taus = _tau_grid(config)
     rows = [coherence_sample(state, params.b, params.c, tau) for tau in taus]
-    oracle_values = [g2_oracle(state, params, tau, config.oracle_dim) for tau in taus]
+    oracle_values = oracle_sweep(state, params, taus, config.oracle_dim).g2.tolist()
 
     max_abs = max_rel = -1.0
     worst_tau = taus[0]
@@ -302,12 +293,15 @@ def _compare_sweep(
         if rel_err > max_rel:
             max_rel = rel_err
             worst_tau = row.tau
-    # probe convergence where the flow squeezing (and truncation stress) peaks
+    # probe convergence where the flow squeezing (and truncation stress)
+    # peaks; the base-dim value there is the sweep's last one
     report = CompareReport(
         max_abs_err=max_abs,
         max_rel_err=max_rel,
         worst_tau=worst_tau,
-        convergence=convergence_check(state, params, taus[-1], config.oracle_dim),
+        convergence=convergence_check(
+            state, params, taus[-1], config.oracle_dim, g2_base=oracle_values[-1]
+        ),
     )
     return rows, oracle_values, report
 

@@ -39,15 +39,19 @@ from g2tau import (
     convergence_check,
     from_polar,
     g2,
-    g2_oracle,
     gaussian_rho,
     hamiltonian_from_state,
     heisenberg_flow,
-    mean_n_oracle,
     mean_photon_of_tau,
     state_from_hamiltonian,
 )
-from g2tau.fock_oracle import displacement, heisenberg_a_matrix, ladder_operators, squeeze
+from g2tau.fock_oracle import (
+    displacement,
+    heisenberg_a_matrix,
+    ladder_operators,
+    oracle_sweep,
+    squeeze,
+)
 from g2tau.sweep_cli import EXIT_COMPARE, EXIT_OK, EXIT_UNDEFINED, EXIT_USAGE, main
 
 # --- the evaluation grid -----------------------------------------------------
@@ -159,14 +163,13 @@ def grid_results():
         else:
             n_doubled += len(R_TAU_TARGETS)
             doubled_tails.append(tail_mass(gaussian_rho(state, dim)))
-        for r_tau in R_TAU_TARGETS:
-            tau = delay_for_target(params, r_tau)
+        taus = [delay_for_target(params, r_tau) for r_tau in R_TAU_TARGETS]
+        sweep = oracle_sweep(state, params, taus, dim)  # all delays, one eigensolve
+        for tau, g2_ref, mean_ref in zip(taus, sweep.g2, sweep.mean_n):
             if tail > worst[3]:
                 worst = (state, params, tau, tail)
             g2_closed = g2(state, params.b, params.c, tau)
-            g2_ref = g2_oracle(state, params, tau, dim)
             mean_closed = mean_photon_of_tau(state, params.b, params.c, tau)
-            mean_ref = mean_n_oracle(state, params, tau, dim)
             points.append(
                 GridPoint(
                     state=state,

@@ -26,6 +26,7 @@ from g2tau import (
     mean_n_oracle,
 )
 from g2tau.fock_oracle import (
+    _expi_hermitian,
     displacement,
     hamiltonian_matrix,
     heisenberg_a_matrix,
@@ -78,6 +79,16 @@ class TestDisplacementSqueeze:
         for u in (displacement(1.2 - 0.7j, dim), squeeze(from_polar(0.9, 2.1), dim)):
             defect = (u.conj().T @ u - np.eye(dim))[:half, :half]
             assert op_norm(defect) < 1e-8
+
+    def test_parity_split_squeeze_matches_dense_generator(self):
+        # exp of the generator built from dense a² and a†² products, in one piece
+        dim, half = 96, 48
+        a, adag = ladder_operators(dim)
+        for xi in (from_polar(0.9, 2.1), from_polar(1.2, 0.0), 0.3j):
+            gen = 0.5 * np.conjugate(xi) * (a @ a) - 0.5 * xi * (adag @ adag)
+            dense = _expi_hermitian(-1j * gen)
+            defect = (squeeze(xi, dim) - dense)[:half, :half]
+            assert np.abs(defect).max() < 1e-13
 
     def test_displacement_moves_vacuum_mean(self):
         dim = 64

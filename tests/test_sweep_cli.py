@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from g2tau import HamiltonianParams, UndefinedCoherenceError, g2_oracle, mean_n_oracle
+from g2tau import fock_oracle
+from g2tau.fock_oracle import oracle_sweep
 from g2tau.param_map import GenerationSpec, hamiltonian_from_state
 from g2tau.sweep_cli import (
     COMPARE_REL_TOL,
@@ -152,9 +154,39 @@ class TestRunSweep:
                              "--mode", "oracle", "--oracle-dim", "80",
                              "--tau-max", "0.5", "--steps", "2")
         params = hamiltonian_from_state(GenerationSpec(state=config.state, t=1.0))
-        for row in run_sweep(config):
-            assert row.g2 == g2_oracle(config.state, params, row.tau, 80)
-            assert row.mean_n == mean_n_oracle(config.state, params, row.tau, 80)
+        rows = run_sweep(config)
+        sweep = oracle_sweep(config.state, params, [row.tau for row in rows], 80)
+        for row, g2, mean_n in zip(rows, sweep.g2, sweep.mean_n):
+            assert row.g2 == g2
+            assert row.mean_n == mean_n
+        # the sweep's shared working basis and one-point calls agree to roundoff
+        for row in rows:
+            one_point_g2 = g2_oracle(config.state, params, row.tau, 80)
+            one_point_mean = mean_n_oracle(config.state, params, row.tau, 80)
+            assert abs(row.g2 - one_point_g2) <= 1e-12 * abs(one_point_g2)
+            assert abs(row.mean_n - one_point_mean) <= 1e-12 * abs(one_point_mean)
+
+
+class TestEigensolveCount:
+    @pytest.mark.parametrize("mode, run", [("oracle", run_sweep), ("compare", run_compare)])
+    def test_eigensolves_do_not_grow_with_delays(self, mode, run, monkeypatch):
+        eigh = np.linalg.eigh
+        sizes = []
+
+        def counting_eigh(matrix, *args, **kwargs):
+            sizes.append(matrix.shape[-1])
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        counts = []
+        for steps in (2, 500):
+            fock_oracle._gaussian_rho.cache_clear()  # each run builds its state afresh
+            sizes.clear()
+            run(config_from("--nbar", "0.3", "--r", "0.4", "--alpha-mag", "0.8",
+                            "--mode", mode, "--oracle-dim", "40", "--tau-max", "0.5",
+                            "--steps", str(steps)))
+            counts.append(len(sizes))
+        assert counts[0] == counts[1]
 
 
 class TestRunCompare:
@@ -188,6 +220,17 @@ class TestMainExitCodes:
     def test_usage(self, capsys):
         assert main(["--steps", "0"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--nbar", "nan"), ("--r", "inf"), ("--theta", "inf"),
+         ("--alpha-phase", "nan"), ("--alpha-mag", "inf")],
+    )
+    def test_non_finite_input_is_a_usage_error(self, flag, value, capsys):
+        assert main([flag, value, "--steps", "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("g2tau: error:")
+        assert "Traceback" not in err
 
     def test_vacuum(self, capsys):
         assert main([]) == EXIT_UNDEFINED
