@@ -12,8 +12,10 @@ real cross-check rather than a tautology.
 The state is prepared in a working space enlarged enough that squeeze
 stretch and displacement stay inside the basis, then cropped to the
 requested dimension `dim`; the remaining error is set by the state's own
-Fock tail, which is what convergence_check measures.  The squeeze never
-mixes even and odd number states, so it is exponentiated block by block.
+Fock tail, which is what convergence_check measures.  The displacement is
+built from its exact Fock matrix elements (associated Laguerre polynomials,
+by a stable recurrence), with no eigensolve; the squeeze never mixes even
+and odd number states, so it is exponentiated block by block.
 
 A delay sweep (:func:`oracle_sweep`) evolves in one working basis of N
 states, sized for the largest flow stretch and shift over its delays.  One
@@ -90,19 +92,31 @@ class OracleSweep:
     """Oracle traces over a delay grid, all evaluated in one working basis.
 
     mean_0 is Tr[rho a† a]; mean_n[i] and numerator[i] are Tr[rho n(tau_i)]
-    and Tr[rho a† n(tau_i) a].
+    and Tr[rho a† n(tau_i) a].  floor is the roundoff floor of the photon
+    numbers: each mean_n[i] sums the N² terms Phi_j Mr_jk conj(Phi_k), whose
+    moduli |Mr_jk| do not depend on the delay, in length-N dot products, so
+    its rounding error is bounded by floor = N eps sum_jk |Mr_jk| (eps the
+    double-precision machine epsilon, N the working dimension).
     """
 
     mean_0: float
     mean_n: np.ndarray
     numerator: np.ndarray
+    floor: float
 
     @property
     def g2(self) -> np.ndarray:
-        """numerator / (mean_0 mean_n) per delay; undefined for a vacuum-like state."""
-        if self.mean_0 == 0.0 or not np.all(self.mean_n):
-            # a state indistinguishable from vacuum at this precision
-            raise UndefinedCoherenceError(_VACUUM)
+        """numerator / (mean_0 mean_n) per delay.
+
+        Raises UndefinedCoherenceError unless mean_0 and every mean_n exceed
+        floor: below it a photon number is roundoff, and the state is
+        indistinguishable from vacuum at this precision.
+        """
+        if not (self.mean_0 > self.floor and np.all(self.mean_n > self.floor)):
+            raise UndefinedCoherenceError(
+                "g2 is undefined: a mean photon number is below the oracle's "
+                f"roundoff floor {self.floor:.1e}, indistinguishable from vacuum"
+            )
         return self.numerator / (self.mean_0 * self.mean_n)
 
 
@@ -118,10 +132,10 @@ def ladder_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
-def _expi_hermitian(h: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """The first `rows` rows (default all) of exp(1j * h) for Hermitian h."""
+def _expi_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(1j * h) for Hermitian h."""
     w, v = np.linalg.eigh(h)
-    return (v[:rows] * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 # Dense eigensystems above this size cost minutes, not seconds.  The working
@@ -148,9 +162,44 @@ def _working_dim(dim: int, stretch_r: float, shift_mag: float) -> int:
 
 
 def _displacement(alpha: complex, dim: int, rows: int | None = None) -> np.ndarray:
-    a, adag = ladder_operators(dim)
-    gen = alpha * adag - np.conjugate(alpha) * a  # anti-Hermitian
-    return _expi_hermitian(-1j * gen, rows)
+    """Rows 0..rows-1 (default all) of D(alpha) on `dim` number states.
+
+    Every entry is the exact matrix element of the untruncated operator
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)); with x = |alpha|²,
+
+        <m|D|m+k> = f_m^(k) (-alpha*/|alpha|)^k,   <m+k|D|m> = f_m^(k) (alpha/|alpha|)^k,
+        f_m^(k)   = sqrt(m!/(m+k)!) |alpha|^k e^{-x/2} L_m^(k)(x).
+
+    f_0^(k) is formed in log space, and every diagonal offset k is carried
+    up in m at once by the Laguerre three-term recurrence rescaled to f:
+
+        sqrt((m+1)(m+1+k)) f_{m+1} = (2m+1+k-x) f_m - sqrt(m(m+k)) f_{m-1}.
+
+    The polynomial is the dominant solution of that recurrence wherever it
+    is not oscillatory, so the upward run is stable; a recurrence along
+    rows or columns of D itself is not.
+    """
+    _require_dim(dim)
+    rows = dim if rows is None else rows
+    out = np.zeros((rows, dim), dtype=complex)
+    mag = abs(alpha)
+    if mag == 0.0:
+        out[np.arange(rows), np.arange(rows)] = 1.0
+        return out
+    x = mag * mag
+    k = np.arange(dim, dtype=float)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(dim)])
+    f = np.exp(k * math.log(mag) - 0.5 * x - 0.5 * log_fact)
+    f_prev = np.zeros(dim)
+    unit = alpha / mag
+    above = np.cumprod(np.r_[1.0, np.full(dim - 1, -np.conjugate(unit))])  # (-alpha*/|alpha|)^k
+    below = np.cumprod(np.r_[1.0, np.full(rows - 1, unit)])  # (alpha/|alpha|)^k
+    for m in range(rows):
+        out[m, m:] = f[: dim - m] * above[: dim - m]
+        out[m + 1 :, m] = f[1 : rows - m] * below[1 : rows - m]
+        f_next = (2 * m + 1 + k - x) * f - np.sqrt(m * (m + k)) * f_prev
+        f_prev, f = f, f_next / np.sqrt((m + 1) * (m + 1 + k))
+    return out
 
 
 def _squeeze_blocks(xi: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +220,11 @@ def _squeeze_blocks(xi: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def displacement(alpha: complex, dim: int) -> np.ndarray:
-    """Displacement matrix D(alpha) = exp(alpha a† - alpha* a)."""
+    """Displacement matrix D(alpha) = exp(alpha a† - alpha* a) on `dim` number states.
+
+    Each entry is the exact matrix element <m|D(alpha)|n> of the untruncated
+    operator, so the matrix is unitary up to the weight D moves past `dim`.
+    """
     return _displacement(complex(alpha), dim)
 
 
@@ -306,6 +359,7 @@ def oracle_sweep(
     lowered[:-1, :-1] = root[:, None] * rho[1:, 1:] * root
     m_rho = (v_top_h @ rho @ v_top).T
     m_rho *= number
+    floor = big * np.finfo(float).eps * float(np.abs(m_rho).sum())
     m_x = (v_top_h @ lowered @ v_top).T
     m_x *= number
     del number
@@ -323,7 +377,7 @@ def oracle_sweep(
             np.einsum("bj,bj->b", phase @ m_rho, back), "delayed photon number"
         )
     mean_0 = float(np.arange(dim) @ rho.diagonal().real)
-    return OracleSweep(mean_0=mean_0, mean_n=mean_n, numerator=numerator)
+    return OracleSweep(mean_0=mean_0, mean_n=mean_n, numerator=numerator, floor=floor)
 
 
 def mean_n_oracle(

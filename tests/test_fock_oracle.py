@@ -25,8 +25,11 @@ from g2tau import (
     heisenberg_flow,
     mean_n_oracle,
 )
+from g2tau import fock_oracle
 from g2tau.fock_oracle import (
+    _displacement,
     _expi_hermitian,
+    _working_dim,
     displacement,
     hamiltonian_matrix,
     heisenberg_a_matrix,
@@ -102,6 +105,52 @@ class TestDisplacementSqueeze:
         np.testing.assert_allclose(mean.real, abs(alpha) ** 2, rtol=1e-10)
 
 
+class TestDisplacementElements:
+    """D(alpha) against references that do not share its Laguerre recurrence."""
+
+    @pytest.mark.parametrize("magnitude", [0.3, 1.5, 4.0])
+    def test_first_row_and_column(self, magnitude):
+        alpha = from_polar(magnitude, 0.4)
+        dim = 60
+        d = displacement(alpha, dim)
+        n = np.arange(dim)
+        norm = math.exp(-0.5 * abs(alpha) ** 2) / np.array(
+            [math.sqrt(math.factorial(j)) for j in n]
+        )
+        row = norm * (-np.conjugate(alpha)) ** n
+        column = norm * alpha ** n
+        np.testing.assert_allclose(d[0], row, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(d[:, 0], column, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("magnitude", [0.3, 1.5, 4.0])
+    def test_matches_dense_generator_exponential(self, magnitude):
+        # exp(alpha a† - alpha* a) truncated at twice the size is exact on
+        # the top-left quarter of the smaller matrix
+        alpha = from_polar(magnitude, 2.2)
+        dim = 96
+        a, adag = ladder_operators(2 * dim)
+        dense = _expi_hermitian(-1j * (alpha * adag - np.conjugate(alpha) * a))
+        quarter = slice(0, dim // 2)
+        defect = displacement(alpha, dim)[quarter, quarter] - dense[quarter, quarter]
+        assert np.abs(defect).max() < 1e-12
+
+    @pytest.mark.parametrize("magnitude", [0.3, 1.5, 4.0])
+    def test_transpose_is_displacement_by_minus_conjugate(self, magnitude):
+        alpha = from_polar(magnitude, -1.1)
+        np.testing.assert_allclose(displacement(alpha, 80).T,
+                                   displacement(-np.conjugate(alpha), 80),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("magnitude", [12.0, 30.0])
+    def test_large_displacement_rows_are_finite_unit_vectors(self, magnitude):
+        # far outside the oscillatory region a recurrence that is not run
+        # along the dominant solution blows up long before 3072 columns
+        d = _displacement(from_polar(magnitude, 0.7), 3072, rows=600)
+        assert np.isfinite(d).all()
+        norms = np.linalg.norm(d, axis=1)
+        assert np.abs(norms - 1.0).max() < 1e-12
+
+
 class TestThermalRho:
     def test_zero_temperature_is_vacuum_projector(self):
         rho = thermal_rho(0.0, 30)
@@ -150,6 +199,25 @@ class TestGaussianRho:
         assert op_norm(rho - rho.conj().T) < 1e-12
         np.testing.assert_allclose(np.trace(rho).real, 1.0, rtol=0, atol=1e-8)
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
+
+    def test_only_the_squeeze_blocks_are_eigensolved(self, monkeypatch):
+        # D comes from its matrix elements; S from one eigensolve per parity
+        eigh = np.linalg.eigh
+        sizes = []
+
+        def counting_eigh(matrix, *args, **kwargs):
+            sizes.append(matrix.shape[-1])
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        state = GaussianStateParams(alpha=from_polar(0.9, 0.3),
+                                    xi=SqueezeParam(0.6, 1.0), nbar=0.5)
+        dim = 120
+        working = _working_dim(dim, state.xi.r, abs(state.alpha))
+        fock_oracle._gaussian_rho.cache_clear()
+        gaussian_rho(state, dim)
+        assert len(sizes) == 2
+        assert max(sizes) <= math.ceil(working / 2)
 
     def test_returned_copy_is_safe_to_mutate(self):
         state = GaussianStateParams(alpha=0.5 + 0j, xi=SqueezeParam(0.3, 0.0), nbar=0.1)

@@ -237,6 +237,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "vacuum" in err
 
+    def test_oracle_below_roundoff_floor_is_undefined(self, capsys):
+        # mean photon number 1e-222: the oracle traces cannot resolve it
+        code = main(["--alpha-mag", "1e-111", "--mode", "oracle",
+                     "--oracle-dim", "16", "--steps", "2"])
+        assert code == EXIT_UNDEFINED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("g2tau: error:")
+
+    def test_oracle_resolves_a_small_displacement(self, capsys):
+        argv = ["--alpha-mag", "1e-2", "--steps", "4", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        closed = json.loads(capsys.readouterr().out)["samples"]
+        assert main(argv + ["--mode", "oracle"]) == EXIT_OK
+        oracle = json.loads(capsys.readouterr().out)["samples"]
+        for reference, row in zip(closed, oracle):
+            assert abs(row["g2"] - reference["g2"]) <= 1e-8 * abs(reference["g2"])
+
     def test_compare_failure(self, capsys):
         code = main(["--r", "2.5", "--mode", "compare", "--oracle-dim", "40",
                      "--steps", "2", "--tau-max", "0.1"])
