@@ -2,37 +2,18 @@
 
 Closed-form g2(tau) for a degenerate parametric amplifier, an invertible map
 between states and amplifier couplings, and a truncated Fock-space oracle that
-cross-checks both.
+cross-checks both.  Everything else is imported from its submodule.
 """
 
-from .fock_oracle import (
-    TruncationReport,
-    convergence_check,
-    g2_oracle,
-    gaussian_rho,
-    mean_n_oracle,
-)
+from .fock_oracle import convergence_check, g2_oracle, gaussian_rho
 from .gaussian_core import (
-    CoherenceSample,
-    FlowResult,
     GaussianStateParams,
     SqueezeParam,
     UndefinedCoherenceError,
-    A_of_tau,
-    alpha_of_tau,
-    coherence_sample,
     from_polar,
     g2,
-    g2_from_state,
     heisenberg_flow,
-    mean_photon_initial,
     mean_photon_of_tau,
-    n_of_tau,
-    r_of_tau,
-    s_of_tau,
-    sample_from_state,
-    squeeze_phase_factor,
-    thermal_occupation,
 )
 from .param_map import (
     GenerationSpec,
@@ -45,33 +26,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "A_of_tau",
-    "CoherenceSample",
-    "FlowResult",
     "GaussianStateParams",
     "GenerationSpec",
     "HamiltonianParams",
     "SqueezeParam",
-    "TruncationReport",
     "UndefinedCoherenceError",
-    "alpha_of_tau",
-    "coherence_sample",
     "convergence_check",
     "from_polar",
     "g2",
-    "g2_from_state",
     "g2_oracle",
     "gaussian_rho",
     "hamiltonian_from_state",
     "heisenberg_flow",
-    "mean_n_oracle",
-    "mean_photon_initial",
     "mean_photon_of_tau",
-    "n_of_tau",
-    "r_of_tau",
-    "s_of_tau",
-    "sample_from_state",
-    "squeeze_phase_factor",
     "state_from_hamiltonian",
-    "thermal_occupation",
 ]

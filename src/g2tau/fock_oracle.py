@@ -70,8 +70,6 @@ _IMAG_TOL = 1e-8
 # O(_DELAY_BLOCK * N) however many delays a sweep has.
 _DELAY_BLOCK = 64
 
-_VACUUM = "g2 is undefined for the vacuum state (zero mean photon number)"
-
 
 @dataclass(frozen=True)
 class TruncationReport:
@@ -161,11 +159,12 @@ def _working_dim(dim: int, stretch_r: float, shift_mag: float) -> int:
     return max(dim, min(working, max(_WORKING_DIM_CAP, dim)))
 
 
-def _displacement(alpha: complex, dim: int, rows: int | None = None) -> np.ndarray:
-    """Rows 0..rows-1 (default all) of D(alpha) on `dim` number states.
+def displacement(alpha: complex, dim: int, rows: int | None = None) -> np.ndarray:
+    """Rows 0..rows-1 (default all) of D(alpha) = exp(alpha a† - alpha* a) on `dim` states.
 
     Every entry is the exact matrix element of the untruncated operator
-    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)); with x = |alpha|²,
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), so the full matrix is
+    unitary up to the weight D moves past `dim`; with x = |alpha|²,
 
         <m|D|m+k> = f_m^(k) (-alpha*/|alpha|)^k,   <m+k|D|m> = f_m^(k) (alpha/|alpha|)^k,
         f_m^(k)   = sqrt(m!/(m+k)!) |alpha|^k e^{-x/2} L_m^(k)(x).
@@ -180,6 +179,7 @@ def _displacement(alpha: complex, dim: int, rows: int | None = None) -> np.ndarr
     rows or columns of D itself is not.
     """
     _require_dim(dim)
+    alpha = complex(alpha)
     rows = dim if rows is None else rows
     out = np.zeros((rows, dim), dtype=complex)
     mag = abs(alpha)
@@ -219,15 +219,6 @@ def _squeeze_blocks(xi: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return blocks[0], blocks[1]
 
 
-def displacement(alpha: complex, dim: int) -> np.ndarray:
-    """Displacement matrix D(alpha) = exp(alpha a† - alpha* a) on `dim` number states.
-
-    Each entry is the exact matrix element <m|D(alpha)|n> of the untruncated
-    operator, so the matrix is unitary up to the weight D moves past `dim`.
-    """
-    return _displacement(complex(alpha), dim)
-
-
 def squeeze(xi: complex, dim: int) -> np.ndarray:
     """Squeeze matrix S(xi) = exp((xi*/2) a² - (xi/2) a†²)."""
     out = np.zeros((dim, dim), dtype=complex)
@@ -256,13 +247,19 @@ def _gaussian_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
     # product built directly at `dim` has its edge rows corrupted by the
     # truncated operator products.
     big = _working_dim(dim, state.xi.r, abs(state.alpha))
-    d_top = _displacement(state.alpha, big, rows=dim)
+    d_top = displacement(state.alpha, big, rows=dim)
     prep_top = np.empty_like(d_top)
     for parity, block in enumerate(_squeeze_blocks(state.xi.xi, big)):
         prep_top[:, parity::2] = d_top[:, parity::2] @ block
     rho = (prep_top * _thermal_weights(state.nbar, big)) @ prep_top.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
+    trace = np.trace(rho).real
+    if not np.finfo(float).tiny <= trace < math.inf:
+        raise UndefinedCoherenceError(
+            f"g2 is undefined: the lowest {dim} of the oracle's {big} working number "
+            "states hold none of the state"
+        )
+    rho /= trace
     rho.setflags(write=False)
     return rho
 
@@ -301,11 +298,6 @@ def _evolution_dim(params: HamiltonianParams, taus: Sequence[float], dim: int) -
     )
 
 
-def _hamiltonian_eig(params: HamiltonianParams, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and eigenvectors V of H = V diag(w) V† on `dim` states."""
-    return np.linalg.eigh(hamiltonian_matrix(params, dim))
-
-
 def heisenberg_a_matrix(params: HamiltonianParams, tau: float, dim: int) -> np.ndarray:
     """Evolved annihilation operator e^{iH tau} a e^{-iH tau} on the lowest `dim` states.
 
@@ -315,7 +307,7 @@ def heisenberg_a_matrix(params: HamiltonianParams, tau: float, dim: int) -> np.n
     block would be corrupted by truncation.
     """
     big = _evolution_dim(params, [tau], dim)
-    w, v = _hamiltonian_eig(params, big)
+    w, v = np.linalg.eigh(hamiltonian_matrix(params, big))
     # Rows 0..dim of U = V e^{i tau w} V†; the crop of U a U† only needs them.
     u_top = (v[:dim, :] * np.exp(1j * tau * w)) @ v.conj().T
     # u_top @ a: the annihilation matrix shifts columns and scales by sqrt(n).
@@ -348,7 +340,7 @@ def oracle_sweep(
         raise ValueError("taus must be a non-empty sequence of delays")
     big = _evolution_dim(params, taus, dim)
     rho = _gaussian_rho(state, dim)
-    w, v = _hamiltonian_eig(params, big)
+    w, v = np.linalg.eigh(hamiltonian_matrix(params, big))
     number = (v.conj().T * np.arange(big, dtype=float)) @ v  # V† n V
     v_top = v[:dim].copy()  # rho and a rho a† live on the lowest dim states
     del v
@@ -392,7 +384,7 @@ def g2_oracle(
 ) -> float:
     """Tr[rho a† n(tau) a] / (Tr[rho a† a] Tr[rho n(tau)])."""
     if state.is_vacuum:
-        raise UndefinedCoherenceError(_VACUUM)
+        raise UndefinedCoherenceError()
     return float(oracle_sweep(state, params, [tau], dim).g2[0])
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "CoherenceSample",
     "UndefinedCoherenceError",
     "from_polar",
-    "thermal_occupation",
     "r_of_tau",
     "squeeze_phase_factor",
     "alpha_of_tau",
@@ -43,8 +42,6 @@ __all__ = [
     "s_of_tau",
     "g2",
     "coherence_sample",
-    "sample_from_state",
-    "g2_from_state",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -56,7 +53,16 @@ PAIR_COUPLING_EPS = 1e-8
 
 
 class UndefinedCoherenceError(ValueError):
-    """g2 requested for the vacuum, where the normalization vanishes."""
+    """g2 requested where its normalization vanishes; the default message names the vacuum.
+
+    The oracle raises it too, with its own message, for a state it cannot
+    tell from the vacuum or cannot hold in its basis.
+    """
+
+    def __init__(
+        self, message: str = "g2 is undefined for the vacuum state (zero mean photon number)"
+    ) -> None:
+        super().__init__(message)
 
 
 def _wrap_angle(theta: float) -> float:
@@ -73,17 +79,6 @@ def from_polar(mag: float, phase: float) -> complex:
     if mag < 0.0:
         raise ValueError(f"magnitude must be >= 0, got {mag}")
     return mag * cmath.exp(1j * phase)
-
-
-def thermal_occupation(beta: float, omega: float = 1.0) -> float:
-    """Bose-Einstein mean occupation 1/(exp(beta*omega) - 1), hbar = 1.
-
-    Convenience for callers who think in inverse temperature rather than
-    nbar; the rest of the library takes nbar directly.
-    """
-    if beta * omega <= 0.0:
-        raise ValueError("beta*omega must be positive")
-    return 1.0 / math.expm1(beta * omega)
 
 
 @dataclass(frozen=True)
@@ -218,9 +213,14 @@ def A_of_tau(state: GaussianStateParams, b: complex, c: complex, tau: float) -> 
     return alpha * flow.cosh_coeff + alpha.conjugate() * flow.sinh_coeff + flow.shift
 
 
+def _mean_photon(state: GaussianStateParams, rt: float, amp: complex) -> float:
+    """(nbar + 1/2) cosh(2(r + r(tau))) - 1/2 + |A(tau)|^2."""
+    return (state.nbar + 0.5) * math.cosh(2.0 * (state.xi.r + rt)) - 0.5 + abs(amp) ** 2
+
+
 def mean_photon_initial(state: GaussianStateParams) -> float:
     """Mean photon number of the state itself: (nbar + 1/2) cosh(2r) - 1/2 + |alpha|^2."""
-    return (state.nbar + 0.5) * math.cosh(2.0 * state.xi.r) - 0.5 + abs(state.alpha) ** 2
+    return _mean_photon(state, 0.0, state.alpha)
 
 
 def mean_photon_of_tau(
@@ -231,9 +231,7 @@ def mean_photon_of_tau(
     (nbar + 1/2) cosh(2(r + r(tau))) - 1/2 + |A(tau)|^2.  At tau = 0 this
     follows the same floating-point path as :func:`mean_photon_initial`.
     """
-    rt = r_of_tau(c, tau)
-    amp = A_of_tau(state, b, c, tau)
-    return (state.nbar + 0.5) * math.cosh(2.0 * (state.xi.r + rt)) - 0.5 + abs(amp) ** 2
+    return _mean_photon(state, r_of_tau(c, tau), A_of_tau(state, b, c, tau))
 
 
 def n_of_tau(nbar: float, r: float, r_tau: float) -> float:
@@ -255,10 +253,9 @@ def coherence_sample(
     photon number underflows to zero, which makes g2's normalization vanish
     just as surely (e.g. a subnormal squeeze magnitude).
     """
-    if state.is_vacuum or mean_photon_initial(state) == 0.0:
-        raise UndefinedCoherenceError(
-            "g2 is undefined for the vacuum state (zero mean photon number)"
-        )
+    mean0 = mean_photon_initial(state)
+    if mean0 == 0.0:
+        raise UndefinedCoherenceError()
     rt = r_of_tau(c, tau)
     r = state.xi.r
     nbar = state.nbar
@@ -268,8 +265,7 @@ def coherence_sample(
     amp = A_of_tau(state, b, c, tau)
     n_corr = n_of_tau(nbar, r, rt)
     s_corr = s_of_tau(nbar, r, rt)
-    mean0 = mean_photon_initial(state)
-    mean_t = (nbar + 0.5) * math.cosh(2.0 * (r + rt)) - 0.5 + abs(amp) ** 2
+    mean_t = _mean_photon(state, rt, amp)
 
     coh = alpha * amp.conjugate() + alpha.conjugate() * amp
     anom = alpha * amp * phase.conjugate() + alpha.conjugate() * amp.conjugate() * phase
@@ -295,23 +291,3 @@ def coherence_sample(
 def g2(state: GaussianStateParams, b: complex, c: complex, tau: float) -> float:
     """Temporal second-order coherence g2(tau) for the given state and couplings."""
     return coherence_sample(state, b, c, tau).g2
-
-
-def sample_from_state(
-    state: GaussianStateParams, t_gen: float, tau: float
-) -> CoherenceSample:
-    """Delay point for a state produced by running the amplifier for time t_gen.
-
-    The couplings are recovered from the state via the inverse map in
-    :mod:`g2tau.param_map`, so the post-generation evolution is driven by the
-    same Hamiltonian that prepared the state.
-    """
-    from .param_map import GenerationSpec, hamiltonian_from_state
-
-    params = hamiltonian_from_state(GenerationSpec(state=state, t=t_gen))
-    return coherence_sample(state, params.b, params.c, tau)
-
-
-def g2_from_state(state: GaussianStateParams, t_gen: float, tau: float) -> float:
-    """g2(tau) with couplings recovered from (state, t_gen)."""
-    return sample_from_state(state, t_gen, tau).g2

@@ -23,8 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence, TextIO
 
 from .fock_oracle import TruncationReport, convergence_check, oracle_sweep
@@ -35,7 +36,6 @@ from .gaussian_core import (
     UndefinedCoherenceError,
     coherence_sample,
     from_polar,
-    r_of_tau,
 )
 from .param_map import GenerationSpec, HamiltonianParams, hamiltonian_from_state
 
@@ -240,50 +240,30 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     )
 
 
-def _couplings(config: RunConfig) -> HamiltonianParams:
-    return hamiltonian_from_state(GenerationSpec(state=config.state, t=config.t_gen))
+def _evaluate(
+    config: RunConfig,
+) -> tuple[HamiltonianParams, list[CoherenceSample], list[float] | None, CompareReport | None]:
+    """Couplings, rows, and in compare mode the oracle g2 values and the report.
 
-
-def _tau_grid(config: RunConfig) -> list[float]:
-    return [config.tau_max * i / config.steps for i in range(config.steps + 1)]
-
-
-def run_sweep(config: RunConfig) -> list[CoherenceSample]:
-    """Evaluate the sweep in closed_form or oracle mode (compare has its own path).
-
-    The vacuum state is rejected before any row is produced.
+    Every mode computes the closed-form rows; oracle mode then takes mean_n
+    and g2 from the oracle, whose sweep covers the whole grid in one call.
+    The vacuum is rejected by the first row, before any oracle work.
     """
     state = config.state
-    if state.is_vacuum:
-        raise UndefinedCoherenceError(
-            "g2 is undefined for the vacuum state (zero mean photon number)"
-        )
-    params = _couplings(config)
-    taus = _tau_grid(config)
+    params = hamiltonian_from_state(GenerationSpec(state=state, t=config.t_gen))
+    taus = [config.tau_max * i / config.steps for i in range(config.steps + 1)]
     rows = [coherence_sample(state, params.b, params.c, tau) for tau in taus]
+    if config.mode == "closed_form":
+        return params, rows, None, None
+    sweep = oracle_sweep(state, params, taus, config.oracle_dim)
     if config.mode == "oracle":
-        sweep = oracle_sweep(state, params, taus, config.oracle_dim)
         rows = [
             replace(row, mean_n=mean_n, g2=g2)
             for row, mean_n, g2 in zip(rows, sweep.mean_n.tolist(), sweep.g2.tolist())
         ]
-    return rows
+        return params, rows, None, None
 
-
-def _compare_sweep(
-    config: RunConfig,
-) -> tuple[list[CoherenceSample], list[float], CompareReport]:
-    """One pass producing closed-form rows, oracle g2 values, and the report."""
-    state = config.state
-    if state.is_vacuum:
-        raise UndefinedCoherenceError(
-            "g2 is undefined for the vacuum state (zero mean photon number)"
-        )
-    params = _couplings(config)
-    taus = _tau_grid(config)
-    rows = [coherence_sample(state, params.b, params.c, tau) for tau in taus]
-    oracle_values = oracle_sweep(state, params, taus, config.oracle_dim).g2.tolist()
-
+    oracle_values = sweep.g2.tolist()
     max_abs = max_rel = -1.0
     worst_tau = taus[0]
     for row, reference in zip(rows, oracle_values):
@@ -303,12 +283,17 @@ def _compare_sweep(
             state, params, taus[-1], config.oracle_dim, g2_base=oracle_values[-1]
         ),
     )
-    return rows, oracle_values, report
+    return params, rows, oracle_values, report
+
+
+def run_sweep(config: RunConfig) -> list[CoherenceSample]:
+    """The sweep's rows: closed form, or in oracle mode with the oracle's mean_n and g2."""
+    return _evaluate(config)[1]
 
 
 def run_compare(config: RunConfig) -> CompareReport:
     """Closed form against oracle at every delay of the sweep."""
-    return _compare_sweep(config)[2]
+    return _evaluate(replace(config, mode="compare"))[3]
 
 
 def _fmt(x: float) -> str:
@@ -333,42 +318,35 @@ def _header_lines(config: RunConfig, params: HamiltonianParams) -> list[str]:
     return lines
 
 
-def _emit_csv(
+# One schema for both formats: the CSV header and the JSON sample keys.
+_COLUMNS = ("tau", "r_tau", "mean_n", "n_tau", "s_tau", "g2")
+_row_values = operator.attrgetter(*_COLUMNS)
+
+
+def _emit(
     out: TextIO,
     config: RunConfig,
     params: HamiltonianParams,
     rows: list[CoherenceSample],
-    oracle_values: list[float] | None = None,
+    oracle_values: list[float] | None,
+    report: CompareReport | None,
 ) -> None:
-    for line in _header_lines(config, params):
-        out.write(line + "\n")
-    columns = "tau,r_tau,mean_n,n_tau,s_tau,g2"
+    columns = _COLUMNS
+    table = [_row_values(row) for row in rows]
     if oracle_values is not None:
-        columns += ",g2_oracle,abs_err"
-    out.write(columns + "\n")
-    for i, row in enumerate(rows):
-        fields = [
-            _fmt(row.tau),
-            _fmt(row.r_tau),
-            _fmt(row.mean_n),
-            _fmt(row.n_tau),
-            _fmt(row.s_tau),
-            _fmt(row.g2),
+        columns += ("g2_oracle", "abs_err")
+        table = [
+            values + (reference, abs(row.g2 - reference))
+            for values, row, reference in zip(table, rows, oracle_values)
         ]
-        if oracle_values is not None:
-            fields.append(_fmt(oracle_values[i]))
-            fields.append(_fmt(abs(row.g2 - oracle_values[i])))
-        out.write(",".join(fields) + "\n")
+    if config.output_format == "csv":
+        for line in _header_lines(config, params):
+            out.write(line + "\n")
+        out.write(",".join(columns) + "\n")
+        for values in table:
+            out.write(",".join(map(_fmt, values)) + "\n")
+        return
 
-
-def _emit_json(
-    out: TextIO,
-    config: RunConfig,
-    params: HamiltonianParams,
-    rows: list[CoherenceSample],
-    oracle_values: list[float] | None = None,
-    report: CompareReport | None = None,
-) -> None:
     state = config.state
     metadata: dict = {
         "nbar": state.nbar,
@@ -387,47 +365,10 @@ def _emit_json(
     if config.mode != "closed_form":
         metadata["oracle_dim"] = config.oracle_dim
     if report is not None:
-        metadata["report"] = {
-            "max_abs_err": report.max_abs_err,
-            "max_rel_err": report.max_rel_err,
-            "worst_tau": report.worst_tau,
-            "convergence": {
-                "dim": report.convergence.dim,
-                "tail_mass": report.convergence.tail_mass,
-                "converged": report.convergence.converged,
-                "g2_rel_change": report.convergence.g2_rel_change,
-            },
-        }
-    samples = []
-    for i, row in enumerate(rows):
-        sample = {
-            "tau": row.tau,
-            "r_tau": row.r_tau,
-            "mean_n": row.mean_n,
-            "n_tau": row.n_tau,
-            "s_tau": row.s_tau,
-            "g2": row.g2,
-        }
-        if oracle_values is not None:
-            sample["g2_oracle"] = oracle_values[i]
-            sample["abs_err"] = abs(row.g2 - oracle_values[i])
-        samples.append(sample)
+        metadata["report"] = asdict(report)
+    samples = [dict(zip(columns, values)) for values in table]
     json.dump({"metadata": metadata, "samples": samples}, out, indent=2)
     out.write("\n")
-
-
-def _emit(
-    out: TextIO,
-    config: RunConfig,
-    params: HamiltonianParams,
-    rows: list[CoherenceSample],
-    oracle_values: list[float] | None = None,
-    report: CompareReport | None = None,
-) -> None:
-    if config.output_format == "json":
-        _emit_json(out, config, params, rows, oracle_values, report)
-    else:
-        _emit_csv(out, config, params, rows, oracle_values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -440,16 +381,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        if config.mode == "compare":
-            rows, oracle_values, report = _compare_sweep(config)
-        else:
-            rows = run_sweep(config)
-            oracle_values, report = None, None
+        params, rows, oracle_values, report = _evaluate(config)
     except UndefinedCoherenceError as exc:
         print(f"g2tau: error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
 
-    params = _couplings(config)
     if config.output_path is None:
         _emit(sys.stdout, config, params, rows, oracle_values, report)
     else:

@@ -23,17 +23,16 @@ from g2tau import (
     gaussian_rho,
     hamiltonian_from_state,
     heisenberg_flow,
-    mean_n_oracle,
 )
 from g2tau import fock_oracle
 from g2tau.fock_oracle import (
-    _displacement,
     _expi_hermitian,
     _working_dim,
     displacement,
     hamiltonian_matrix,
     heisenberg_a_matrix,
     ladder_operators,
+    mean_n_oracle,
     squeeze,
     thermal_rho,
 )
@@ -145,7 +144,7 @@ class TestDisplacementElements:
     def test_large_displacement_rows_are_finite_unit_vectors(self, magnitude):
         # far outside the oscillatory region a recurrence that is not run
         # along the dominant solution blows up long before 3072 columns
-        d = _displacement(from_polar(magnitude, 0.7), 3072, rows=600)
+        d = displacement(from_polar(magnitude, 0.7), 3072, rows=600)
         assert np.isfinite(d).all()
         norms = np.linalg.norm(d, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12

@@ -16,23 +16,24 @@ from hypothesis import strategies as st
 
 from g2tau import (
     GaussianStateParams,
+    GenerationSpec,
     SqueezeParam,
     UndefinedCoherenceError,
+    from_polar,
+    g2,
+    hamiltonian_from_state,
+    heisenberg_flow,
+    mean_photon_of_tau,
+)
+from g2tau.gaussian_core import (
     A_of_tau,
     alpha_of_tau,
     coherence_sample,
-    from_polar,
-    g2,
-    g2_from_state,
-    heisenberg_flow,
     mean_photon_initial,
-    mean_photon_of_tau,
     n_of_tau,
     r_of_tau,
     s_of_tau,
-    sample_from_state,
     squeeze_phase_factor,
-    thermal_occupation,
 )
 
 
@@ -64,19 +65,6 @@ class TestSqueezeParam:
     def test_polar_round_trip_property(self, r, theta):
         p = SqueezeParam(r, theta)
         assert abs(p.xi - r * cmath.exp(1j * theta)) <= 1e-12 * max(1.0, r)
-
-
-def test_thermal_occupation_matches_bose_einstein():
-    # 1 / (e^{beta omega} - 1), hbar = 1
-    np.testing.assert_allclose(thermal_occupation(1.0), 1.0 / (math.e - 1.0), rtol=1e-15)
-    np.testing.assert_allclose(thermal_occupation(0.5, omega=2.0),
-                               1.0 / (math.e - 1.0), rtol=1e-15)
-
-
-def test_thermal_occupation_small_beta_does_not_cancel():
-    # 1/expm1 keeps accuracy where e^{beta} - 1 would lose it
-    beta = 1e-12
-    np.testing.assert_allclose(thermal_occupation(beta), 1.0 / beta, rtol=1e-9)
 
 
 class TestFlowPieces:
@@ -200,42 +188,47 @@ class TestMoments:
                                    mean_photon_initial(state), rtol=1e-15)
 
 
+def couplings(state, t_gen):
+    """Couplings that prepare `state` in time t_gen, so it evolves under them."""
+    return hamiltonian_from_state(GenerationSpec(state=state, t=t_gen))
+
+
 class TestG2:
     def test_vacuum_rejected(self):
         vacuum = GaussianStateParams(alpha=0j, xi=SqueezeParam(0.0, 0.0), nbar=0.0)
         with pytest.raises(UndefinedCoherenceError):
             coherence_sample(vacuum, 0.1j, 0.2j, 0.5)
+        p = couplings(vacuum, 1.0)
         with pytest.raises(UndefinedCoherenceError):
-            g2_from_state(vacuum, 1.0, 0.5)
+            g2(vacuum, p.b, p.c, 0.5)
 
     def test_thermal_is_two_for_all_delays(self):
         state = GaussianStateParams(alpha=0j, xi=SqueezeParam(0.0, 0.0), nbar=0.9)
+        p = couplings(state, 1.0)
         for tau in (0.0, 0.4, 2.3):
-            np.testing.assert_allclose(g2_from_state(state, 1.0, tau), 2.0,
+            np.testing.assert_allclose(g2(state, p.b, p.c, tau), 2.0,
                                        rtol=0, atol=1e-13)
 
     def test_coherent_is_one_for_all_delays(self):
         state = GaussianStateParams(alpha=from_polar(1.2, 0.6),
                                     xi=SqueezeParam(0.0, 0.0), nbar=0.0)
+        p = couplings(state, 1.0)
         for tau in (0.0, 0.4, 2.3):
-            np.testing.assert_allclose(g2_from_state(state, 1.0, tau), 1.0,
+            np.testing.assert_allclose(g2(state, p.b, p.c, tau), 1.0,
                                        rtol=0, atol=1e-13)
 
     def test_squeezed_vacuum_zero_delay(self):
         # 3 + 1/sinh^2 r
         for r in (0.3, 0.8):
             state = GaussianStateParams(alpha=0j, xi=SqueezeParam(r, 0.0), nbar=0.0)
-            np.testing.assert_allclose(g2_from_state(state, 1.0, 0.0),
+            p = couplings(state, 1.0)
+            np.testing.assert_allclose(g2(state, p.b, p.c, 0.0),
                                        3.0 + 1.0 / math.sinh(r) ** 2, rtol=1e-12)
-
-    def test_sample_and_scalar_agree(self):
-        state = GaussianStateParams(alpha=0.5 + 0.5j, xi=SqueezeParam(0.4, 0.9), nbar=0.2)
-        sample = sample_from_state(state, 1.0, 0.8)
-        assert sample.g2 == g2_from_state(state, 1.0, 0.8)
 
     def test_sample_fields_are_consistent(self):
         state = GaussianStateParams(alpha=0.5 + 0.5j, xi=SqueezeParam(0.4, 0.9), nbar=0.2)
-        sample = sample_from_state(state, 1.3, 0.8)
+        p = couplings(state, 1.3)
+        sample = coherence_sample(state, p.b, p.c, 0.8)
         assert sample.tau == 0.8
         assert sample.r_tau >= 0.0
         assert sample.mean_n > 0.0
@@ -258,8 +251,7 @@ class TestG2:
         values = []
         for t_gen in (0.5, 1.0, 2.0):
             # tau chosen so that 2|c|tau is the same for every t_gen
-            from g2tau import GenerationSpec, hamiltonian_from_state
-            params = hamiltonian_from_state(GenerationSpec(state=state, t=t_gen))
+            params = couplings(state, t_gen)
             tau = 0.35 / (2 * abs(params.c))
             values.append(g2(state, params.b, params.c, tau))
         np.testing.assert_allclose(values, values[0], rtol=0, atol=1e-12)
@@ -276,6 +268,7 @@ class TestG2:
                                     xi=SqueezeParam(r, theta), nbar=nbar)
         if state.is_vacuum or mean_photon_initial(state) == 0.0:
             return
-        value = g2_from_state(state, 1.0, tau)
+        p = couplings(state, 1.0)
+        value = g2(state, p.b, p.c, tau)
         assert math.isfinite(value)
         assert value >= 0.0

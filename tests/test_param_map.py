@@ -12,11 +12,11 @@ from g2tau import (
     GenerationSpec,
     HamiltonianParams,
     SqueezeParam,
-    alpha_of_tau,
     from_polar,
     hamiltonian_from_state,
     state_from_hamiltonian,
 )
+from g2tau.gaussian_core import alpha_of_tau
 
 
 def random_state(rng, r_low=1e-3, r_high=1.5):

@@ -9,13 +9,14 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from g2tau import HamiltonianParams, UndefinedCoherenceError, g2_oracle, mean_n_oracle
-from g2tau import fock_oracle
-from g2tau.fock_oracle import oracle_sweep
+from g2tau import HamiltonianParams, UndefinedCoherenceError, g2_oracle
+from g2tau import fock_oracle, sweep_cli
+from g2tau.fock_oracle import mean_n_oracle, oracle_sweep
 from g2tau.param_map import GenerationSpec, hamiltonian_from_state
 from g2tau.sweep_cli import (
     COMPARE_REL_TOL,
@@ -256,6 +257,21 @@ class TestMainExitCodes:
         for reference, row in zip(closed, oracle):
             assert abs(row["g2"] - reference["g2"]) <= 1e-8 * abs(reference["g2"])
 
+    @pytest.mark.parametrize("mode", ["oracle", "compare"])
+    def test_state_outside_the_oracle_basis_is_undefined(self, mode, capsys):
+        # |alpha| = 50 puts the state far past the lowest 16 working levels,
+        # so the block that is kept has zero trace
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--alpha-mag", "50", "--mode", mode,
+                         "--oracle-dim", "16", "--steps", "2"])
+        assert code == EXIT_UNDEFINED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("g2tau: error:")
+        assert "nan" not in captured.err
+
     def test_compare_failure(self, capsys):
         code = main(["--r", "2.5", "--mode", "compare", "--oracle-dim", "40",
                      "--steps", "2", "--tau-max", "0.1"])
@@ -330,11 +346,40 @@ class TestOutput:
         assert report["max_rel_err"] < 1e-5
         assert "g2_oracle" in doc["samples"][0]
 
+    @pytest.mark.parametrize("mode", ["closed_form", "oracle", "compare"])
+    def test_csv_and_json_share_one_row_schema(self, mode, capsys):
+        argv = ["--nbar", "0.4", "--r", "0.2", "--alpha-mag", "0.5", "--mode", mode,
+                "--oracle-dim", "40", "--steps", "2", "--tau-max", "0.3"]
+        assert main(argv) == EXIT_OK
+        body = [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        samples = json.loads(capsys.readouterr().out)["samples"]
+        assert len(body) == 1 + len(samples)
+        for line, sample in zip(body[1:], samples):
+            assert body[0] == ",".join(sample)
+            assert [float(field) for field in line.split(",")] == list(sample.values())
+
     def test_output_file_written(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         assert main(["--nbar", "1", "--steps", "2", "--output", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == ""
         assert path.read_text().startswith("# g2(tau) sweep")
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "oracle", "compare"])
+def test_couplings_are_solved_once_per_run(mode, monkeypatch, capsys):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return hamiltonian_from_state(spec)
+
+    monkeypatch.setattr(sweep_cli, "hamiltonian_from_state", counting)
+    assert main(["--nbar", "0.4", "--r", "0.2", "--mode", mode, "--oracle-dim", "40",
+                 "--steps", "2", "--tau-max", "0.3"]) == EXIT_OK
+    assert capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_module_entry_point_runs():
