@@ -26,15 +26,14 @@ Phi = exp(i tau w) and n the number operator on the working basis,
     Tr[rho a† n(tau) a] = sum_jk Phi_j Mx_jk conj(Phi_k),  Mx = (V† a rho a† V)^T ∘ (V† n V)
 
 so after the O(N³) setup each delay costs O(N²), and delays are evaluated
-in blocks of fixed size.  Nothing of size N outlives the call; only the
-dim x dim density matrices are memoized, and gaussian_rho returns copies.
+in blocks of fixed size.  The caller builds rho once with gaussian_rho and
+hands it to the sweep; nothing outlives the call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +57,6 @@ __all__ = [
     "hamiltonian_matrix",
     "heisenberg_a_matrix",
     "oracle_sweep",
-    "mean_n_oracle",
     "g2_oracle",
     "convergence_check",
 ]
@@ -94,13 +92,15 @@ class OracleSweep:
     numbers: each mean_n[i] sums the N² terms Phi_j Mr_jk conj(Phi_k), whose
     moduli |Mr_jk| do not depend on the delay, in length-N dot products, so
     its rounding error is bounded by floor = N eps sum_jk |Mr_jk| (eps the
-    double-precision machine epsilon, N the working dimension).
+    double-precision machine epsilon, N the working dimension).  tail_mass
+    is the population of the top 10% of rho's dim-state basis.
     """
 
     mean_0: float
     mean_n: np.ndarray
     numerator: np.ndarray
     floor: float
+    tail_mass: float
 
     @property
     def g2(self) -> np.ndarray:
@@ -240,12 +240,15 @@ def thermal_rho(nbar: float, dim: int) -> np.ndarray:
     return np.diag(_thermal_weights(nbar, dim)).astype(complex)
 
 
-@lru_cache(maxsize=32)
-def _gaussian_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
-    # Prepare in a working space wide enough for the squeeze stretch and the
-    # displacement, then keep the lowest-dim block: the same D S rho S† D†
-    # product built directly at `dim` has its edge rows corrupted by the
-    # truncated operator products.
+def gaussian_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
+    """Density matrix D S rho_thermal S† D†, re-hermitized and renormalized.
+
+    Prepared in a working space wide enough for the squeeze stretch and the
+    displacement, then cropped to the lowest-dim block, so the entries agree
+    with the infinite-dimensional state up to its own tail mass: the same
+    product built directly at `dim` has its edge rows corrupted by the
+    truncated operator products.  Each call returns a new array.
+    """
     big = _working_dim(dim, state.xi.r, abs(state.alpha))
     d_top = displacement(state.alpha, big, rows=dim)
     prep_top = np.empty_like(d_top)
@@ -260,18 +263,7 @@ def _gaussian_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
             "states hold none of the state"
         )
     rho /= trace
-    rho.setflags(write=False)
     return rho
-
-
-def gaussian_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
-    """Density matrix D S rho_thermal S† D†, re-hermitized and renormalized.
-
-    Computed as the lowest-dim block of a wider build, so the entries agree
-    with the infinite-dimensional state up to its own tail mass rather than
-    being polluted by truncated operator products.
-    """
-    return _gaussian_rho(state, dim).copy()
 
 
 def hamiltonian_matrix(params: HamiltonianParams, dim: int) -> np.ndarray:
@@ -324,22 +316,21 @@ def _real_trace(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def oracle_sweep(
-    state: GaussianStateParams,
-    params: HamiltonianParams,
-    taus: Sequence[float],
-    dim: int,
+    rho: np.ndarray, params: HamiltonianParams, taus: Sequence[float]
 ) -> OracleSweep:
     """Tr[rho n(tau)] and Tr[rho a† n(tau) a] at every delay of `taus`.
 
-    rho is the state's density matrix on the lowest `dim` number states and
-    n(tau) = e^{iH tau} n e^{-iH tau} acts on one working basis sized for
-    the whole sweep, so the Hamiltonian is diagonalized once per call.
+    rho lives on the lowest dim = rho.shape[0] number states and n(tau) =
+    e^{iH tau} n e^{-iH tau} acts on one working basis sized for the whole
+    sweep, so the Hamiltonian is diagonalized once per call.
     """
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
+        raise ValueError(f"rho must be a square matrix of size >= 2, got shape {rho.shape}")
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("taus must be a non-empty sequence of delays")
+    dim = rho.shape[0]
     big = _evolution_dim(params, taus, dim)
-    rho = _gaussian_rho(state, dim)
     w, v = np.linalg.eigh(hamiltonian_matrix(params, big))
     number = (v.conj().T * np.arange(big, dtype=float)) @ v  # V† n V
     v_top = v[:dim].copy()  # rho and a rho a† live on the lowest dim states
@@ -369,14 +360,8 @@ def oracle_sweep(
             np.einsum("bj,bj->b", phase @ m_rho, back), "delayed photon number"
         )
     mean_0 = float(np.arange(dim) @ rho.diagonal().real)
-    return OracleSweep(mean_0=mean_0, mean_n=mean_n, numerator=numerator, floor=floor)
-
-
-def mean_n_oracle(
-    state: GaussianStateParams, params: HamiltonianParams, tau: float, dim: int
-) -> float:
-    """Tr[rho n(tau)] on the truncated space."""
-    return float(oracle_sweep(state, params, [tau], dim).mean_n[0])
+    tail_mass = float(np.sum(rho.diagonal()[math.ceil(0.9 * dim) :]).real)
+    return OracleSweep(mean_0, mean_n, numerator, floor, tail_mass)
 
 
 def g2_oracle(
@@ -385,12 +370,7 @@ def g2_oracle(
     """Tr[rho a† n(tau) a] / (Tr[rho a† a] Tr[rho n(tau)])."""
     if state.is_vacuum:
         raise UndefinedCoherenceError()
-    return float(oracle_sweep(state, params, [tau], dim).g2[0])
-
-
-def _tail_mass(rho: np.ndarray) -> float:
-    start = math.ceil(0.9 * rho.shape[0])
-    return float(np.sum(np.diagonal(rho)[start:]).real)
+    return float(oracle_sweep(gaussian_rho(state, dim), params, [tau]).g2[0])
 
 
 def convergence_check(
@@ -398,23 +378,22 @@ def convergence_check(
     params: HamiltonianParams,
     tau: float,
     dim: int,
-    g2_base: float | None = None,
+    base: OracleSweep | None = None,
 ) -> TruncationReport:
     """Probe truncation adequacy by doubling the dimension.
 
     Converged means the relative g2 change under doubling stays below 1e-6
     and the top 10% of the base-dim number basis holds less than 1e-8 of the
-    population.  A caller that already holds g2 at (tau, dim), say from a
-    sweep, passes it as g2_base so only the doubled point is built.
+    population.  A caller holding a sweep of the state at `dim` whose last
+    delay is tau passes it as base, so only the doubled point is built.
     """
-    if g2_base is None:
-        g2_base = g2_oracle(state, params, tau, dim)
-    g2_doubled = g2_oracle(state, params, tau, 2 * dim)
-    rel_change = abs(g2_doubled - g2_base) / abs(g2_doubled)
-    tail = _tail_mass(_gaussian_rho(state, dim))
+    g2_doubled = g2_oracle(state, params, tau, 2 * dim)  # rejects the vacuum
+    if base is None:
+        base = oracle_sweep(gaussian_rho(state, dim), params, [tau])
+    rel_change = abs(g2_doubled - float(base.g2[-1])) / abs(g2_doubled)
     return TruncationReport(
         dim=dim,
-        tail_mass=tail,
-        converged=(rel_change < 1e-6 and tail < 1e-8),
+        tail_mass=base.tail_mass,
+        converged=(rel_change < 1e-6 and base.tail_mass < 1e-8),
         g2_rel_change=rel_change,
     )

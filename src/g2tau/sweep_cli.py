@@ -14,8 +14,8 @@ Usage examples:
     g2tau --config run.json --format json --output curve.json
 
 Exit status: 0 success; 1 usage error; 2 undefined coherence (vacuum state);
-3 comparison failure (worst relative error above 1e-4 or oracle not
-converged).
+3 comparison or truncation failure (compare: worst relative error above 1e-4
+or oracle not converged; oracle: more than 1e-4 of rho in its top 10% levels).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence, TextIO
 
-from .fock_oracle import TruncationReport, convergence_check, oracle_sweep
+from .fock_oracle import TruncationReport, convergence_check, gaussian_rho, oracle_sweep
 from .gaussian_core import (
     CoherenceSample,
     GaussianStateParams,
@@ -45,7 +45,10 @@ __all__ = [
     "EXIT_UNDEFINED",
     "EXIT_COMPARE",
     "COMPARE_REL_TOL",
+    "ORACLE_TAIL_TOL",
+    "MAX_STEPS",
     "UsageError",
+    "TruncationError",
     "RunConfig",
     "CompareReport",
     "parse_config",
@@ -66,6 +69,13 @@ FORMATS = ("csv", "json")
 # Worst tolerated closed-form vs oracle relative error in compare mode.
 COMPARE_REL_TOL = 1e-4
 
+# Oracle mode's bound on rho's population in its top 10% levels.  Measured:
+# 1.5e-6 at the benchmark hull's worst corner (nbar 1, r 0.8, |alpha| 1.5) and
+# 2.4e-3, 0.96, 0.99 at |alpha| 9, 12, 13 (all dim 120); 3.7e-2 at r 2.5, dim 40.
+ORACLE_TAIL_TOL = 1e-4
+
+MAX_STEPS = 1_000_000  # a closed-form sweep of 1e6 steps takes about 20 s and 0.5 GB
+
 _DEFAULTS = {
     "nbar": 0.0,
     "r": 0.0,
@@ -84,6 +94,10 @@ _DEFAULTS = {
 
 class UsageError(Exception):
     """Bad flags, bad config file, or out-of-range parameters."""
+
+
+class TruncationError(Exception):
+    """Oracle mode's rho holds more than ORACLE_TAIL_TOL in its top 10% levels."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,9 +190,9 @@ def _as_int(name: str, value: object) -> int:
 def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     """Resolve flags, optional config file, and defaults into a RunConfig.
 
-    Precedence: explicit flags > config file > built-in defaults.  Any
-    violated range (a non-finite float, negative nbar or r, non-positive
-    times, steps < 1, oracle_dim < 2 when the oracle runs) is a UsageError.
+    Precedence: explicit flags > config file > built-in defaults.  A value out
+    of range (a non-finite float, negative nbar or r, non-positive times, steps
+    outside [1, MAX_STEPS], oracle_dim < 2 when the oracle runs) is a UsageError.
     """
     namespace = _build_parser().parse_args(argv)
     merged = dict(_DEFAULTS)
@@ -218,6 +232,8 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
         raise UsageError(f"tau-max must be > 0, got {tau_max}")
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise UsageError(f"steps must be <= {MAX_STEPS}, got {steps}")
     if mode != "closed_form" and oracle_dim < 2:
         raise UsageError(f"oracle-dim must be >= 2, got {oracle_dim}")
     if output is not None and not isinstance(output, str):
@@ -255,8 +271,11 @@ def _evaluate(
     rows = [coherence_sample(state, params.b, params.c, tau) for tau in taus]
     if config.mode == "closed_form":
         return params, rows, None, None
-    sweep = oracle_sweep(state, params, taus, config.oracle_dim)
+    rho = gaussian_rho(state, config.oracle_dim)  # held to the end: freed early, peak RSS rose 4%
+    sweep = oracle_sweep(rho, params, taus)
     if config.mode == "oracle":
+        if sweep.tail_mass > ORACLE_TAIL_TOL:
+            raise TruncationError(f"tail_mass={sweep.tail_mass:.3e} at oracle_dim={config.oracle_dim}")
         rows = [
             replace(row, mean_n=mean_n, g2=g2)
             for row, mean_n, g2 in zip(rows, sweep.mean_n.tolist(), sweep.g2.tolist())
@@ -274,14 +293,12 @@ def _evaluate(
             max_rel = rel_err
             worst_tau = row.tau
     # probe convergence where the flow squeezing (and truncation stress)
-    # peaks; the base-dim value there is the sweep's last one
+    # peaks, the sweep's last delay
     report = CompareReport(
         max_abs_err=max_abs,
         max_rel_err=max_rel,
         worst_tau=worst_tau,
-        convergence=convergence_check(
-            state, params, taus[-1], config.oracle_dim, g2_base=oracle_values[-1]
-        ),
+        convergence=convergence_check(state, params, taus[-1], config.oracle_dim, base=sweep),
     )
     return params, rows, oracle_values, report
 
@@ -385,6 +402,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UndefinedCoherenceError as exc:
         print(f"g2tau: error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
+    except TruncationError as exc:
+        print(f"g2tau: truncation failed: {exc}", file=sys.stderr)
+        return EXIT_COMPARE
 
     if config.output_path is None:
         _emit(sys.stdout, config, params, rows, oracle_values, report)

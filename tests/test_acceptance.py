@@ -162,9 +162,10 @@ def grid_results():
             n_trusted += len(R_TAU_TARGETS)
         else:
             n_doubled += len(R_TAU_TARGETS)
-            doubled_tails.append(tail_mass(gaussian_rho(state, dim)))
+            rho = gaussian_rho(state, dim)
+            doubled_tails.append(tail_mass(rho))
         taus = [delay_for_target(params, r_tau) for r_tau in R_TAU_TARGETS]
-        sweep = oracle_sweep(state, params, taus, dim)  # all delays, one eigensolve
+        sweep = oracle_sweep(rho, params, taus)  # all delays, one eigensolve
         for tau, g2_ref, mean_ref in zip(taus, sweep.g2, sweep.mean_n):
             if tail > worst[3]:
                 worst = (state, params, tau, tail)

@@ -24,7 +24,6 @@ from g2tau import (
     hamiltonian_from_state,
     heisenberg_flow,
 )
-from g2tau import fock_oracle
 from g2tau.fock_oracle import (
     _expi_hermitian,
     _working_dim,
@@ -32,7 +31,7 @@ from g2tau.fock_oracle import (
     hamiltonian_matrix,
     heisenberg_a_matrix,
     ladder_operators,
-    mean_n_oracle,
+    oracle_sweep,
     squeeze,
     thermal_rho,
 )
@@ -213,7 +212,6 @@ class TestGaussianRho:
                                     xi=SqueezeParam(0.6, 1.0), nbar=0.5)
         dim = 120
         working = _working_dim(dim, state.xi.r, abs(state.alpha))
-        fock_oracle._gaussian_rho.cache_clear()
         gaussian_rho(state, dim)
         assert len(sizes) == 2
         assert max(sizes) <= math.ceil(working / 2)
@@ -327,8 +325,19 @@ class TestTraces:
         # nbar + |alpha|^2 under free evolution, any delay
         state = GaussianStateParams(alpha=0.9 + 0j, xi=SqueezeParam(0.0, 0.0), nbar=0.4)
         params = HamiltonianParams(0j, 0j)
-        np.testing.assert_allclose(mean_n_oracle(state, params, 1.3, 100),
+        np.testing.assert_allclose(oracle_sweep(gaussian_rho(state, 100), params, [1.3]).mean_n[0],
                                    0.4 + 0.81, rtol=0, atol=1e-8)
+
+    def test_sweep_of_a_hand_built_thermal_rho(self):
+        # free evolution keeps thermal light at g2 = 2 for every delay; the
+        # sweep runs on a rho that gaussian_rho did not build
+        sweep = oracle_sweep(thermal_rho(0.7, 60), HamiltonianParams(), [0.0, 0.2, 0.5, 1.0])
+        np.testing.assert_allclose(sweep.g2, 2.0, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (1, 1), (2, 2, 2)])
+    def test_sweep_rejects_a_non_square_rho(self, shape):
+        with pytest.raises(ValueError):
+            oracle_sweep(np.zeros(shape, dtype=complex), HamiltonianParams(), [0.0])
 
 
 class TestConvergenceCheck:
@@ -352,6 +361,20 @@ class TestConvergenceCheck:
         vacuum = GaussianStateParams(alpha=0j, xi=SqueezeParam(0.0, 0.0), nbar=0.0)
         with pytest.raises(UndefinedCoherenceError):
             convergence_check(vacuum, HamiltonianParams(0j, 0j), 0.5, 40)
+
+    def test_sweep_as_base_matches_own_sweep(self):
+        state = GaussianStateParams(alpha=from_polar(0.9, 0.3),
+                                    xi=SqueezeParam(0.5, 1.0), nbar=0.4)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        taus = [0.0, 0.15, 0.3]
+        sweep = oracle_sweep(gaussian_rho(state, 60), params, taus)
+        given = convergence_check(state, params, taus[-1], 60, base=sweep)
+        own = convergence_check(state, params, taus[-1], 60)
+        assert (given.dim, given.converged) == (own.dim, own.converged)
+        np.testing.assert_allclose(given.tail_mass, own.tail_mass, rtol=1e-12, atol=0)
+        # g2_rel_change is already relative to g2, so 1e-12 on it is 1e-12
+        # relative on the base g2 the two sweeps computed
+        assert abs(given.g2_rel_change - own.g2_rel_change) <= 1e-12
 
     def test_tail_mass_shrinks_as_dim_doubles(self):
         state = GaussianStateParams(alpha=from_polar(1.0, 0.2),

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from g2tau import HamiltonianParams, UndefinedCoherenceError, g2_oracle
-from g2tau import fock_oracle, sweep_cli
-from g2tau.fock_oracle import mean_n_oracle, oracle_sweep
+from g2tau import gaussian_rho, sweep_cli
+from g2tau.fock_oracle import oracle_sweep
 from g2tau.param_map import GenerationSpec, hamiltonian_from_state
 from g2tau.sweep_cli import (
     COMPARE_REL_TOL,
@@ -24,6 +24,7 @@ from g2tau.sweep_cli import (
     EXIT_OK,
     EXIT_UNDEFINED,
     EXIT_USAGE,
+    MAX_STEPS,
     UsageError,
     main,
     parse_config,
@@ -156,14 +157,14 @@ class TestRunSweep:
                              "--tau-max", "0.5", "--steps", "2")
         params = hamiltonian_from_state(GenerationSpec(state=config.state, t=1.0))
         rows = run_sweep(config)
-        sweep = oracle_sweep(config.state, params, [row.tau for row in rows], 80)
+        sweep = oracle_sweep(gaussian_rho(config.state, 80), params, [row.tau for row in rows])
         for row, g2, mean_n in zip(rows, sweep.g2, sweep.mean_n):
             assert row.g2 == g2
             assert row.mean_n == mean_n
         # the sweep's shared working basis and one-point calls agree to roundoff
         for row in rows:
             one_point_g2 = g2_oracle(config.state, params, row.tau, 80)
-            one_point_mean = mean_n_oracle(config.state, params, row.tau, 80)
+            one_point_mean = oracle_sweep(gaussian_rho(config.state, 80), params, [row.tau]).mean_n[0]
             assert abs(row.g2 - one_point_g2) <= 1e-12 * abs(one_point_g2)
             assert abs(row.mean_n - one_point_mean) <= 1e-12 * abs(one_point_mean)
 
@@ -181,13 +182,15 @@ class TestEigensolveCount:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         counts = []
         for steps in (2, 500):
-            fock_oracle._gaussian_rho.cache_clear()  # each run builds its state afresh
             sizes.clear()
             run(config_from("--nbar", "0.3", "--r", "0.4", "--alpha-mag", "0.8",
                             "--mode", mode, "--oracle-dim", "40", "--tau-max", "0.5",
                             "--steps", str(steps)))
             counts.append(len(sizes))
-        assert counts[0] == counts[1]
+        # rho at oracle_dim is two squeeze-block eigensolves and the sweep one
+        # Hamiltonian eigensolve; the doubling check repeats both at 2 * oracle_dim
+        expected = {"oracle": 3, "compare": 6}[mode]
+        assert counts == [expected, expected]
 
 
 class TestRunCompare:
@@ -271,6 +274,29 @@ class TestMainExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("g2tau: error:")
         assert "nan" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha-mag", "13", "--steps", "2"],
+        ["--r", "2.5", "--oracle-dim", "40", "--steps", "2", "--tau-max", "0.1"],
+    ])
+    def test_oracle_truncation_failure(self, argv, capsys):
+        # the state reaches the top of the oracle_dim basis: no rows, exit 3
+        assert main(argv + ["--mode", "oracle"]) == EXIT_COMPARE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("g2tau: truncation failed:")
+        assert "tail_mass=" in lines[0] and "oracle_dim=" in lines[0]
+
+    def test_steps_above_the_bound_are_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"nbar": 1, "steps": MAX_STEPS + 1}))
+        for argv in (["--nbar", "1", "--steps", str(MAX_STEPS + 1)], ["--config", str(config)]):
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors = [line for line in captured.err.splitlines() if line.startswith("g2tau: error:")]
+            assert len(errors) == 1 and str(MAX_STEPS) in errors[0]
 
     def test_compare_failure(self, capsys):
         code = main(["--r", "2.5", "--mode", "compare", "--oracle-dim", "40",
