@@ -15,19 +15,26 @@ requested dimension `dim`; the remaining error is set by the state's own
 Fock tail, which is what convergence_check measures.  The displacement is
 built from its exact Fock matrix elements (associated Laguerre polynomials,
 by a stable recurrence), with no eigensolve; the squeeze never mixes even
-and odd number states, so it is exponentiated block by block.
+and odd number states, so it is exponentiated block by block.  Every
+working basis is sized from the exact stretch and shift it must hold, and
+one that would exceed _WORKING_DIM_CAP raises TruncationError.
 
 A delay sweep (:func:`oracle_sweep`) evolves in one working basis of N
-states, sized for the largest flow stretch and shift over its delays.  One
-eigendecomposition H = V diag(w) V† serves every delay: with the phases
-Phi = exp(i tau w) and n the number operator on the working basis,
+states, sized from the levels rho occupies and the largest flow stretch and
+shift over its delays.  One eigendecomposition H = V diag(w) V† serves
+every delay: with the phases Phi = exp(i tau w), n the number operator on
+the working basis and V_edge the rows of V for its top 10% levels,
 
     Tr[rho n(tau)]      = sum_jk Phi_j Mr_jk conj(Phi_k),  Mr = (V† rho V)^T ∘ (V† n V)
     Tr[rho a† n(tau) a] = sum_jk Phi_j Mx_jk conj(Phi_k),  Mx = (V† a rho a† V)^T ∘ (V† n V)
+    edge population     = sum_jk Phi_j Me_jk conj(Phi_k),  Me = (V† rho V)^T ∘ (V_edge† V_edge)
 
 so after the O(N³) setup each delay costs O(N²), and delays are evaluated
-in blocks of fixed size.  The caller builds rho once with gaussian_rho and
-hands it to the sweep; nothing outlives the call.
+in blocks of fixed size, one matrix product per block for all three forms.
+The largest edge population over the delays is the sweep's leakage: the
+share of the evolved state that reached the top of the working basis.  The
+caller builds rho once with gaussian_rho and hands it to the sweep; nothing
+outlives the call.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ from .gaussian_core import (
 from .param_map import HamiltonianParams
 
 __all__ = [
+    "LEAKAGE_TOL",
+    "TruncationError",
     "TruncationReport",
     "OracleSweep",
     "ladder_operators",
@@ -64,9 +73,32 @@ __all__ = [
 # Tolerated imaginary residue on traces that are real by Hermiticity.
 _IMAG_TOL = 1e-8
 
-# Delays evaluated per matrix product in oracle_sweep; its scratch is
-# O(_DELAY_BLOCK * N) however many delays a sweep has.
-_DELAY_BLOCK = 64
+# Delays, or rows of its bilinear forms, per matrix product in oracle_sweep;
+# its scratch is O(_BLOCK * N) however many delays a sweep has.
+_BLOCK = 64
+
+# oracle_sweep's evolution basis holds the levels of rho down to a suffix
+# population below this.
+_SUPPORT_TOL = 1e-17
+
+# Largest trusted leakage (see OracleSweep).  Measured with the evolution
+# basis forced below its sized N, 41 delays each, the worst g2 relative error
+# against the closed form stays under 10x the leakage:
+#   squeezed vacuum r 0.3, tau <= 4:  leakage 1.7e-6, 1.9e-7, 1.7e-9 -> error 1.5e-5, 1.6e-6, 1.0e-8
+#   nbar 0.5, r 0.3, |alpha| 0.9, tau <= 3:  3.5e-6, 2.1e-7, 1.1e-8 -> 1.2e-5, 5.9e-7, 2.7e-8
+#   hull corner at dim 240, tau <= 1:  9.0e-5, 3.8e-6, 1.4e-7 -> 3.6e-4, 1.3e-5, 4.1e-7
+#   |alpha| 3, r 0.5, tau <= 2:  6.8e-6, 1.7e-7, 4.7e-9 -> 6.8e-7, 1.4e-8, 2.8e-10
+# so 1e-8 keeps the evolution's share of the g2 error near 1e-7, under the
+# doubling check's 1e-6.  At the sized N every one of them leaks below 1e-16.
+LEAKAGE_TOL = 1e-8
+
+
+class TruncationError(Exception):
+    """The oracle's truncation cannot be trusted, so it gives no numbers.
+
+    Raised here when a working basis would exceed _WORKING_DIM_CAP, and by
+    the CLI when a sweep's tail mass or leakage is above its threshold.
+    """
 
 
 @dataclass(frozen=True)
@@ -74,13 +106,16 @@ class TruncationReport:
     """Outcome of a dimension-doubling convergence probe.
 
     dim is the base truncation; g2_rel_change is |g2(2*dim) - g2(dim)| / |g2(2*dim)|;
-    tail_mass is the population of the top 10% of the base-dim number basis.
+    tail_mass is the population of the top 10% of the base-dim number basis;
+    working_dim and leakage are those of the base sweep (see OracleSweep).
     """
 
     dim: int
     tail_mass: float
     converged: bool
     g2_rel_change: float
+    working_dim: int
+    leakage: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +128,9 @@ class OracleSweep:
     moduli |Mr_jk| do not depend on the delay, in length-N dot products, so
     its rounding error is bounded by floor = N eps sum_jk |Mr_jk| (eps the
     double-precision machine epsilon, N the working dimension).  tail_mass
-    is the population of the top 10% of rho's dim-state basis.
+    is the population of the top 10% of rho's dim-state basis.  working_dim
+    is N, and leakage is the largest population, over the delays, that the
+    evolved state rho(tau) puts in the top 10% of the N working levels.
     """
 
     mean_0: float
@@ -101,6 +138,8 @@ class OracleSweep:
     numerator: np.ndarray
     floor: float
     tail_mass: float
+    working_dim: int
+    leakage: float
 
     @property
     def g2(self) -> np.ndarray:
@@ -136,27 +175,33 @@ def _expi_hermitian(h: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-# Dense eigensystems above this size cost minutes, not seconds.  The working
-# dimension is clipped here; whatever truncation error that leaves behind is
-# reported by convergence_check rather than silently absorbed.
+# Dense eigensystems above this size cost minutes, not seconds.  A basis that
+# would need more is refused: a smaller one gives quietly wrong numbers.
 _WORKING_DIM_CAP = 3072
 
 
 def _working_dim(dim: int, stretch_r: float, shift_mag: float) -> int:
-    """Fock dimension needed to build accurately before cropping to `dim`.
+    """Fock dimension needed to hold `dim` levels through a stretch and a shift.
 
     A squeeze stretches the occupied phase-space radius (~sqrt(dim)) by
     e^{stretch_r} and a displacement shifts it, so the lowest-dim block of
     the squeezed-and-displaced object draws on roughly
-    (sqrt(dim) e^{stretch_r} + |shift|)² number states; a few vacuum widths
-    of margin absorb the Gaussian edges.  Stretch and shift are quantized
-    upward so nearby parameters share one working dimension.
+    (sqrt(dim) e^{stretch_r} + |shift| + 4)² number states; the 4 vacuum
+    widths of margin absorb the Gaussian edges.  Raises TruncationError when
+    that exceeds _WORKING_DIM_CAP.
     """
-    stretch = math.exp(min(0.4 * math.ceil(stretch_r / 0.4 - 1e-9), 1.2))
-    pad = 4.0 + 2.0 * min(math.ceil(shift_mag / 2.0 - 1e-9), 6)
-    radius = math.sqrt(dim) * stretch + pad
-    working = 32 * math.ceil(radius * radius / 32.0)
-    return max(dim, min(working, max(_WORKING_DIM_CAP, dim)))
+    # A stretch past the cap's logarithm needs more than the cap at any dim,
+    # so bounding it there only keeps exp finite.
+    stretch = math.exp(min(stretch_r, math.log(_WORKING_DIM_CAP)))
+    radius = math.sqrt(dim) * stretch + 4.0 + shift_mag
+    needed = radius * radius
+    if needed > _WORKING_DIM_CAP:
+        shown = math.ceil(needed) if math.isfinite(needed) else needed
+        raise TruncationError(
+            f"the oracle needs a working dimension of {shown} to hold {dim} levels, "
+            f"above its cap of {_WORKING_DIM_CAP}"
+        )
+    return max(dim, math.ceil(needed))
 
 
 def displacement(alpha: complex, dim: int, rows: int | None = None) -> np.ndarray:
@@ -282,30 +327,54 @@ def hamiltonian_matrix(params: HamiltonianParams, dim: int) -> np.ndarray:
     return h
 
 
-def _evolution_dim(params: HamiltonianParams, taus: Sequence[float], dim: int) -> int:
-    """Working dimension holding the flow's stretch and shift at every delay."""
+def _delays(taus: Sequence[float]) -> np.ndarray:
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1 or taus.size == 0:
+        raise ValueError("taus must be a non-empty sequence of delays")
+    return taus
+
+
+def _evolution_dim(params: HamiltonianParams, taus: np.ndarray, dim: int) -> int:
+    """Working dimension holding `dim` levels through the flow at every delay."""
     return max(
         _working_dim(dim, r_of_tau(params.c, tau), abs(alpha_of_tau(params.b, params.c, tau)))
         for tau in taus
     )
 
 
-def heisenberg_a_matrix(params: HamiltonianParams, tau: float, dim: int) -> np.ndarray:
-    """Evolved annihilation operator e^{iH tau} a e^{-iH tau} on the lowest `dim` states.
+def _support(rho: np.ndarray) -> int:
+    """Smallest d whose levels d, d+1, ... of rho hold less than _SUPPORT_TOL."""
+    suffix = np.cumsum(rho.diagonal().real[::-1])[::-1]
+    below = np.flatnonzero(suffix < _SUPPORT_TOL)
+    return int(below[0]) if below.size else rho.shape[0]
 
-    The conjugation runs in an enlarged working space sized so the squeeze
-    stretch and displacement of the flow stay inside the basis, and the
-    result is cropped back to `dim`; without the headroom the top of the
-    block would be corrupted by truncation.
+
+def heisenberg_a_matrix(
+    params: HamiltonianParams, taus: Sequence[float], dim: int
+) -> np.ndarray:
+    """Evolved annihilation operators e^{iH tau} a e^{-iH tau} on the lowest `dim` states.
+
+    Returns one dim x dim matrix per delay of `taus`, stacked along the first
+    axis, from one eigendecomposition of H.  The conjugation runs in an
+    enlarged working space sized so the squeeze stretch and displacement of
+    the flow stay inside the basis at every delay, and the result is cropped
+    back to `dim`; without the headroom the top of the block would be
+    corrupted by truncation.
     """
-    big = _evolution_dim(params, [tau], dim)
+    taus = _delays(taus)
+    big = _evolution_dim(params, taus, dim)
     w, v = np.linalg.eigh(hamiltonian_matrix(params, big))
-    # Rows 0..dim of U = V e^{i tau w} V†; the crop of U a U† only needs them.
-    u_top = (v[:dim, :] * np.exp(1j * tau * w)) @ v.conj().T
-    # u_top @ a: the annihilation matrix shifts columns and scales by sqrt(n).
-    ua = np.zeros_like(u_top)
-    ua[:, 1:] = u_top[:, :-1] * np.sqrt(np.arange(1.0, big))
-    return ua @ u_top.conj().T
+    v_h = v.conj().T
+    root = np.sqrt(np.arange(1.0, big))
+    out = np.empty((taus.size, dim, dim), dtype=complex)
+    for i, tau in enumerate(taus):
+        # Rows 0..dim of U = V e^{i tau w} V†; the crop of U a U† only needs them.
+        u_top = (v[:dim] * np.exp(1j * tau * w)) @ v_h
+        # u_top @ a: the annihilation matrix shifts columns and scales by sqrt(n).
+        ua = np.zeros_like(u_top)
+        ua[:, 1:] = u_top[:, :-1] * root
+        out[i] = ua @ u_top.conj().T
+    return out
 
 
 def _real_trace(values: np.ndarray, what: str) -> np.ndarray:
@@ -318,50 +387,60 @@ def _real_trace(values: np.ndarray, what: str) -> np.ndarray:
 def oracle_sweep(
     rho: np.ndarray, params: HamiltonianParams, taus: Sequence[float]
 ) -> OracleSweep:
-    """Tr[rho n(tau)] and Tr[rho a† n(tau) a] at every delay of `taus`.
+    """Tr[rho n(tau)], Tr[rho a† n(tau) a] and the leakage over the delays of `taus`.
 
     rho lives on the lowest dim = rho.shape[0] number states and n(tau) =
     e^{iH tau} n e^{-iH tau} acts on one working basis sized for the whole
-    sweep, so the Hamiltonian is diagonalized once per call.
+    sweep: never below dim, and large enough to hold rho's support (its
+    levels down to a suffix population of _SUPPORT_TOL) through the flow's
+    stretch and shift at every delay.  The Hamiltonian is diagonalized once
+    per call.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
         raise ValueError(f"rho must be a square matrix of size >= 2, got shape {rho.shape}")
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValueError("taus must be a non-empty sequence of delays")
+    taus = _delays(taus)
     dim = rho.shape[0]
-    big = _evolution_dim(params, taus, dim)
+    big = max(dim, _evolution_dim(params, taus, _support(rho)))
     w, v = np.linalg.eigh(hamiltonian_matrix(params, big))
-    number = (v.conj().T * np.arange(big, dtype=float)) @ v  # V† n V
     v_top = v[:dim].copy()  # rho and a rho a† live on the lowest dim states
-    del v
-    v_top_h = v_top.conj().T
+    v_edge = v[math.ceil(0.9 * big) :].copy()
+    v *= np.sqrt(np.arange(big, dtype=float))[:, None]  # V† n V = (√n V)† (√n V)
     # a rho a†: rho moved down one level, sqrt(n) weights on both sides.
     root = np.sqrt(np.arange(1.0, dim))
     lowered = np.zeros_like(rho)
     lowered[:-1, :-1] = root[:, None] * rho[1:, 1:] * root
-    m_rho = (v_top_h @ rho @ v_top).T
-    m_rho *= number
-    floor = big * np.finfo(float).eps * float(np.abs(m_rho).sum())
-    m_x = (v_top_h @ lowered @ v_top).T
-    m_x *= number
-    del number
+    # Row j of (V† X V)^T is row j of V_top^T times X^T conj(V_top).
+    rho_right = rho.T @ v_top.conj()
+    lowered_right = lowered.T @ v_top.conj()
+    # [Mx | Mr | Me] side by side, so one product per delay block serves all
+    # three.  They are filled _BLOCK rows at a time, from row blocks of each
+    # factor, so no N x N temporary ever sits beside them.
+    forms = np.empty((big, 3 * big), dtype=complex)
+    abs_mr = 0.0
+    for start in range(0, big, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        number = v[:, rows].conj().T @ v
+        rho_t = v_top[:, rows].T @ rho_right
+        m_x, m_rho, m_edge = np.split(forms[rows], 3, axis=1)
+        np.multiply(number, v_top[:, rows].T @ lowered_right, out=m_x)
+        np.multiply(number, rho_t, out=m_rho)
+        np.multiply(v_edge[:, rows].conj().T @ v_edge, rho_t, out=m_edge)
+        abs_mr += float(np.abs(m_rho).sum())
+    del v
+    floor = big * np.finfo(float).eps * abs_mr
 
-    mean_n = np.empty(taus.size)
-    numerator = np.empty(taus.size)
-    for start in range(0, taus.size, _DELAY_BLOCK):
-        block = slice(start, start + _DELAY_BLOCK)
+    traces = np.empty((3, taus.size))  # numerator, mean_n, edge population
+    for start in range(0, taus.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
         phase = np.exp(1j * np.outer(taus[block], w))
-        back = phase.conj()
-        numerator[block] = _real_trace(
-            np.einsum("bj,bj->b", phase @ m_x, back), "g2 numerator"
+        forms_at = (phase @ forms).reshape(len(phase), 3, big)
+        traces[:, block] = _real_trace(
+            np.einsum("bkj,bj->kb", forms_at, phase.conj()), "oracle trace"
         )
-        mean_n[block] = _real_trace(
-            np.einsum("bj,bj->b", phase @ m_rho, back), "delayed photon number"
-        )
+    numerator, mean_n, edge = traces
     mean_0 = float(np.arange(dim) @ rho.diagonal().real)
     tail_mass = float(np.sum(rho.diagonal()[math.ceil(0.9 * dim) :]).real)
-    return OracleSweep(mean_0, mean_n, numerator, floor, tail_mass)
+    return OracleSweep(mean_0, mean_n, numerator, floor, tail_mass, big, float(edge.max()))
 
 
 def g2_oracle(
@@ -382,10 +461,13 @@ def convergence_check(
 ) -> TruncationReport:
     """Probe truncation adequacy by doubling the dimension.
 
-    Converged means the relative g2 change under doubling stays below 1e-6
-    and the top 10% of the base-dim number basis holds less than 1e-8 of the
-    population.  A caller holding a sweep of the state at `dim` whose last
-    delay is tau passes it as base, so only the doubled point is built.
+    Converged means the relative g2 change under doubling stays below 1e-6,
+    the top 10% of the base-dim number basis holds less than 1e-8 of the
+    population, and the base sweep's leakage is below LEAKAGE_TOL: once rho
+    fits in dim, the doubled sweep sizes its evolution basis from the same
+    support, so only the leakage sees that basis run out.  A caller holding
+    a sweep of the state at `dim` whose last delay is tau passes it as base,
+    so only the doubled point is built.
     """
     g2_doubled = g2_oracle(state, params, tau, 2 * dim)  # rejects the vacuum
     if base is None:
@@ -394,6 +476,8 @@ def convergence_check(
     return TruncationReport(
         dim=dim,
         tail_mass=base.tail_mass,
-        converged=(rel_change < 1e-6 and base.tail_mass < 1e-8),
+        converged=(rel_change < 1e-6 and base.tail_mass < 1e-8 and base.leakage < LEAKAGE_TOL),
         g2_rel_change=rel_change,
+        working_dim=base.working_dim,
+        leakage=base.leakage,
     )

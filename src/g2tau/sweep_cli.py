@@ -15,7 +15,9 @@ Usage examples:
 
 Exit status: 0 success; 1 usage error; 2 undefined coherence (vacuum state);
 3 comparison or truncation failure (compare: worst relative error above 1e-4
-or oracle not converged; oracle: more than 1e-4 of rho in its top 10% levels).
+or oracle not converged; oracle: more than 1e-4 of rho in its top 10% levels,
+or more than 1e-8 of the evolved state in the top 10% of the working basis;
+both: a working basis above the oracle's cap of 3072 levels).
 """
 
 from __future__ import annotations
@@ -28,7 +30,15 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence, TextIO
 
-from .fock_oracle import TruncationReport, convergence_check, gaussian_rho, oracle_sweep
+from .fock_oracle import (
+    LEAKAGE_TOL,
+    OracleSweep,
+    TruncationError,
+    TruncationReport,
+    convergence_check,
+    gaussian_rho,
+    oracle_sweep,
+)
 from .gaussian_core import (
     CoherenceSample,
     GaussianStateParams,
@@ -47,8 +57,9 @@ __all__ = [
     "COMPARE_REL_TOL",
     "ORACLE_TAIL_TOL",
     "MAX_STEPS",
+    "MAX_COSH_ARG",
+    "MAX_AMPLITUDE",
     "UsageError",
-    "TruncationError",
     "RunConfig",
     "CompareReport",
     "parse_config",
@@ -76,6 +87,11 @@ ORACLE_TAIL_TOL = 1e-4
 
 MAX_STEPS = 1_000_000  # a closed-form sweep of 1e6 steps takes about 20 s and 0.5 GB
 
+# mean_n = (nbar + 1/2) cosh(2(r + r(tau))) - 1/2 + |A(tau)|² is finite only
+# while cosh's argument stays below about 710 and |A(tau)| below 1.34e154.
+MAX_COSH_ARG = 709.0
+MAX_AMPLITUDE = 1e154
+
 _DEFAULTS = {
     "nbar": 0.0,
     "r": 0.0,
@@ -94,10 +110,6 @@ _DEFAULTS = {
 
 class UsageError(Exception):
     """Bad flags, bad config file, or out-of-range parameters."""
-
-
-class TruncationError(Exception):
-    """Oracle mode's rho holds more than ORACLE_TAIL_TOL in its top 10% levels."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,7 +204,8 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
 
     Precedence: explicit flags > config file > built-in defaults.  A value out
     of range (a non-finite float, negative nbar or r, non-positive times, steps
-    outside [1, MAX_STEPS], oracle_dim < 2 when the oracle runs) is a UsageError.
+    outside [1, MAX_STEPS], oracle_dim < 2 when the oracle runs, or a state
+    and grid whose mean_n overflows, see _check_finite_mean) is a UsageError.
     """
     namespace = _build_parser().parse_args(argv)
     merged = dict(_DEFAULTS)
@@ -238,6 +251,7 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
         raise UsageError(f"oracle-dim must be >= 2, got {oracle_dim}")
     if output is not None and not isinstance(output, str):
         raise UsageError(f"output must be a path, got {output!r}")
+    _check_finite_mean(r, alpha_mag, t_gen, tau_max)
 
     state = GaussianStateParams(
         alpha=from_polar(alpha_mag, alpha_phase),
@@ -256,10 +270,35 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     )
 
 
+def _check_finite_mean(r: float, alpha_mag: float, t_gen: float, tau_max: float) -> None:
+    """Refuse a state and grid whose mean_n overflows somewhere on [0, tau_max].
+
+    The couplings give r(tau) = r tau / t_gen, and |A(tau)| is at most
+    |alpha| (e^{r + r(tau)} - 1) / (1 - e^{-r}), or |alpha| (1 + tau / t_gen)
+    at r = 0; both grow with tau, so the last delay sets the bound.
+    """
+    r_tau_max = r * tau_max / t_gen
+    cosh_arg = 2.0 * (r + r_tau_max)
+    if cosh_arg > MAX_COSH_ARG:
+        raise UsageError(
+            f"2(r + r(tau_max)) = {cosh_arg:.6g} must be <= {MAX_COSH_ARG:g} for mean_n to be "
+            "finite, with r(tau_max) = r * tau-max / t-gen"
+        )
+    if alpha_mag == 0.0:
+        return
+    growth = 1.0 + tau_max / t_gen if r == 0.0 else math.expm1(r + r_tau_max) / -math.expm1(-r)
+    if alpha_mag * growth > MAX_AMPLITUDE:
+        raise UsageError(
+            f"alpha-mag must be <= {MAX_AMPLITUDE:g} / {growth:.6g} = {MAX_AMPLITUDE / growth:.6g} "
+            f"here, got {alpha_mag:g}: the displacement grows by up to {growth:.6g} over the "
+            f"sweep, and mean_n is finite only while it stays <= {MAX_AMPLITUDE:g}"
+        )
+
+
 def _evaluate(
     config: RunConfig,
-) -> tuple[HamiltonianParams, list[CoherenceSample], list[float] | None, CompareReport | None]:
-    """Couplings, rows, and in compare mode the oracle g2 values and the report.
+) -> tuple[HamiltonianParams, list[CoherenceSample], OracleSweep | None, CompareReport | None]:
+    """Couplings, rows, the oracle sweep unless closed form, and in compare mode the report.
 
     Every mode computes the closed-form rows; oracle mode then takes mean_n
     and g2 from the oracle, whose sweep covers the whole grid in one call.
@@ -275,12 +314,16 @@ def _evaluate(
     sweep = oracle_sweep(rho, params, taus)
     if config.mode == "oracle":
         if sweep.tail_mass > ORACLE_TAIL_TOL:
-            raise TruncationError(f"tail_mass={sweep.tail_mass:.3e} at oracle_dim={config.oracle_dim}")
+            raise TruncationError(f"tail_mass={sweep.tail_mass:.3e}")
+        if sweep.leakage > LEAKAGE_TOL:
+            raise TruncationError(
+                f"leakage={sweep.leakage:.3e} above {LEAKAGE_TOL:g} in working_dim={sweep.working_dim}"
+            )
         rows = [
             replace(row, mean_n=mean_n, g2=g2)
             for row, mean_n, g2 in zip(rows, sweep.mean_n.tolist(), sweep.g2.tolist())
         ]
-        return params, rows, None, None
+        return params, rows, sweep, None
 
     oracle_values = sweep.g2.tolist()
     max_abs = max_rel = -1.0
@@ -300,7 +343,7 @@ def _evaluate(
         worst_tau=worst_tau,
         convergence=convergence_check(state, params, taus[-1], config.oracle_dim, base=sweep),
     )
-    return params, rows, oracle_values, report
+    return params, rows, sweep, report
 
 
 def run_sweep(config: RunConfig) -> list[CoherenceSample]:
@@ -321,7 +364,9 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
-def _header_lines(config: RunConfig, params: HamiltonianParams) -> list[str]:
+def _header_lines(
+    config: RunConfig, params: HamiltonianParams, sweep: OracleSweep | None
+) -> list[str]:
     state = config.state
     lines = [
         "# g2(tau) sweep",
@@ -330,14 +375,22 @@ def _header_lines(config: RunConfig, params: HamiltonianParams) -> list[str]:
         f"# couplings: b={_fmt_complex(params.b)} c={_fmt_complex(params.c)} t_gen={_fmt(config.t_gen)}",
         f"# grid: tau_max={_fmt(config.tau_max)} steps={config.steps} mode={config.mode}",
     ]
-    if config.mode != "closed_form":
-        lines.append(f"# oracle_dim={config.oracle_dim}")
+    if sweep is not None:
+        lines.append(
+            f"# oracle_dim={config.oracle_dim} working_dim={sweep.working_dim} "
+            f"leakage={_fmt(sweep.leakage)}"
+        )
+    if config.mode == "oracle":
+        lines.append(f"# closed-form columns: {','.join(_CLOSED_FORM_COLUMNS)}")
     return lines
 
 
 # One schema for both formats: the CSV header and the JSON sample keys.
 _COLUMNS = ("tau", "r_tau", "mean_n", "n_tau", "s_tau", "g2")
 _row_values = operator.attrgetter(*_COLUMNS)
+# The columns oracle mode keeps from the closed form; it takes mean_n and g2
+# from the oracle.
+_CLOSED_FORM_COLUMNS = ("r_tau", "n_tau", "s_tau")
 
 
 def _emit(
@@ -345,19 +398,19 @@ def _emit(
     config: RunConfig,
     params: HamiltonianParams,
     rows: list[CoherenceSample],
-    oracle_values: list[float] | None,
+    sweep: OracleSweep | None,
     report: CompareReport | None,
 ) -> None:
     columns = _COLUMNS
     table = [_row_values(row) for row in rows]
-    if oracle_values is not None:
+    if report is not None:
         columns += ("g2_oracle", "abs_err")
         table = [
             values + (reference, abs(row.g2 - reference))
-            for values, row, reference in zip(table, rows, oracle_values)
+            for values, row, reference in zip(table, rows, sweep.g2.tolist())
         ]
     if config.output_format == "csv":
-        for line in _header_lines(config, params):
+        for line in _header_lines(config, params, sweep):
             out.write(line + "\n")
         out.write(",".join(columns) + "\n")
         for values in table:
@@ -379,8 +432,12 @@ def _emit(
         "steps": config.steps,
         "mode": config.mode,
     }
-    if config.mode != "closed_form":
+    if sweep is not None:
         metadata["oracle_dim"] = config.oracle_dim
+        metadata["working_dim"] = sweep.working_dim
+        metadata["leakage"] = sweep.leakage
+    if config.mode == "oracle":
+        metadata["closed_form_columns"] = list(_CLOSED_FORM_COLUMNS)
     if report is not None:
         metadata["report"] = asdict(report)
     samples = [dict(zip(columns, values)) for values in table]
@@ -398,19 +455,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        params, rows, oracle_values, report = _evaluate(config)
+        params, rows, sweep, report = _evaluate(config)
     except UndefinedCoherenceError as exc:
         print(f"g2tau: error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
     except TruncationError as exc:
-        print(f"g2tau: truncation failed: {exc}", file=sys.stderr)
+        print(f"g2tau: truncation failed: {exc} at oracle_dim={config.oracle_dim}", file=sys.stderr)
         return EXIT_COMPARE
 
     if config.output_path is None:
-        _emit(sys.stdout, config, params, rows, oracle_values, report)
+        _emit(sys.stdout, config, params, rows, sweep, report)
     else:
         with open(config.output_path, "w", encoding="utf-8", newline="") as out:
-            _emit(out, config, params, rows, oracle_values, report)
+            _emit(out, config, params, rows, sweep, report)
 
     if report is not None and (
         report.max_rel_err > COMPARE_REL_TOL or not report.convergence.converged

@@ -313,11 +313,11 @@ def test_criterion_5_heisenberg_flow_check(capsys):
         cases.append((params, targets))
 
     worst = 0.0
-    for params, taus in cases:
-        for tau in taus:
+    for params, taus in cases:  # one eigensolve per set of couplings
+        for tau, a_tau in zip(taus, heisenberg_a_matrix(params, taus, dim)):
             flow = heisenberg_flow(params.b, params.c, tau)
             expected = flow.cosh_coeff * a + flow.sinh_coeff * adag + flow.shift * eye
-            defect = (heisenberg_a_matrix(params, tau, dim) - expected)[:half, :half]
+            defect = (a_tau - expected)[:half, :half]
             worst = max(worst, op_norm(defect))
     announce(
         capsys,
@@ -426,6 +426,7 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
 
     usage = main(["--steps", "0"]) == EXIT_USAGE
     vacuum = main([]) == EXIT_UNDEFINED
+    # preparing 40 levels of r 2.5 needs more than the oracle's cap: refused
     compare = (
         main(["--r", "2.5", "--mode", "compare", "--oracle-dim", "40",
               "--steps", "2", "--tau-max", "0.1", "--output",

@@ -24,7 +24,11 @@ from g2tau import (
     hamiltonian_from_state,
     heisenberg_flow,
 )
+from g2tau import fock_oracle
 from g2tau.fock_oracle import (
+    _WORKING_DIM_CAP,
+    LEAKAGE_TOL,
+    TruncationError,
     _expi_hermitian,
     _working_dim,
     displacement,
@@ -223,6 +227,26 @@ class TestGaussianRho:
         assert gaussian_rho(state, 40)[0, 0] != 123.0
 
 
+class TestWorkingDim:
+    @pytest.mark.parametrize("dim", [40, 120])
+    def test_monotone_without_plateaus(self, dim):
+        # exact stretch and shift: every step grows (sqrt(dim) e^r + 4 + |shift|)²
+        # by more than one level, so every step grows the dimension
+        stretches = [_working_dim(dim, r, 0.5) for r in np.linspace(0.0, 1.0, 101)]
+        shifts = [_working_dim(dim, 0.5, s) for s in np.linspace(0.0, 12.0, 101)]
+        for sizes in (stretches, shifts):
+            assert all(b > a for a, b in zip(sizes, sizes[1:]))
+
+    def test_exact_size(self):
+        radius = math.sqrt(120) * math.exp(0.7) + 4.0 + 2.3
+        assert _working_dim(120, 0.7, 2.3) == math.ceil(radius * radius)
+
+    @pytest.mark.parametrize("stretch, shift", [(1.6, 0.0), (0.0, 52.0), (800.0, 0.0)])
+    def test_refuses_above_the_cap(self, stretch, shift):
+        with pytest.raises(TruncationError, match=f"cap of {_WORKING_DIM_CAP}"):
+            _working_dim(120, stretch, shift)
+
+
 class TestHamiltonianMatrix:
     def test_zero_couplings(self):
         h = hamiltonian_matrix(HamiltonianParams(0j, 0j), 20)
@@ -249,13 +273,13 @@ class TestHeisenbergAMatrix:
     def test_zero_delay_returns_a(self):
         params = HamiltonianParams(b=0.3 + 0.2j, c=0.4 - 0.1j)
         a, _ = ladder_operators(40)
-        np.testing.assert_allclose(heisenberg_a_matrix(params, 0.0, 40), a,
+        np.testing.assert_allclose(heisenberg_a_matrix(params, [0.0], 40)[0], a,
                                    rtol=0, atol=1e-12)
 
     def test_free_hamiltonian_is_static(self):
         params = HamiltonianParams(0j, 0j)
         a, _ = ladder_operators(30)
-        np.testing.assert_array_equal(heisenberg_a_matrix(params, 2.7, 30), a)
+        np.testing.assert_array_equal(heisenberg_a_matrix(params, [2.7], 30)[0], a)
 
     def test_pure_pair_coupling_low_block(self):
         # b=0, c=0.25, tau=1: a cosh(0.5) - i a† sinh(0.5)
@@ -263,7 +287,7 @@ class TestHeisenbergAMatrix:
         dim, half = 60, 30
         a, adag = ladder_operators(dim)
         expected = a * math.cosh(0.5) - 1j * adag * math.sinh(0.5)
-        defect = (heisenberg_a_matrix(params, 1.0, dim) - expected)[:half, :half]
+        defect = (heisenberg_a_matrix(params, [1.0], dim)[0] - expected)[:half, :half]
         assert op_norm(defect) < 1e-10
 
     def test_matches_closed_form_flow_on_half_block(self):
@@ -279,7 +303,7 @@ class TestHeisenbergAMatrix:
             tau = rng.uniform(0.0, 1.0 / (2 * abs(params.c)))  # keeps r(tau) <= 1
             flow = heisenberg_flow(params.b, params.c, tau)
             expected = flow.cosh_coeff * a + flow.sinh_coeff * adag + flow.shift * eye
-            defect = (heisenberg_a_matrix(params, tau, dim) - expected)[:half, :half]
+            defect = (heisenberg_a_matrix(params, [tau], dim)[0] - expected)[:half, :half]
             assert op_norm(defect) < 1e-6
 
     def test_linear_drive_shift_near_zero_pair_coupling(self):
@@ -287,13 +311,27 @@ class TestHeisenbergAMatrix:
         # read it off the vacuum expectation of the evolved operator
         params = HamiltonianParams(b=1 + 0j, c=1e-8 + 0j)
         dim = 48
-        a_tau = heisenberg_a_matrix(params, 1.0, dim)
+        a_tau = heisenberg_a_matrix(params, [1.0], dim)[0]
         vacuum_expectation = a_tau[0, 0]
         np.testing.assert_allclose(vacuum_expectation, -1j, rtol=0, atol=1e-7)
 
+    def test_delays_share_one_eigensolve(self, monkeypatch):
+        params = HamiltonianParams(b=0.3 - 0.1j, c=from_polar(0.3, 1.1))
+        taus = [0.0, 0.4, 1.1]
+        one_point = [heisenberg_a_matrix(params, [tau], 40)[0] for tau in taus]
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        stacked = heisenberg_a_matrix(params, taus, 40)
+        assert len(calls) == 1 and stacked.shape == (3, 40, 40)
+        # the stack's basis holds the largest delay, so the smaller delays'
+        # matrices differ from their one-point calls by roundoff only
+        for got, want in zip(stacked, one_point):
+            assert np.abs(got - want).max() < 1e-10
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            heisenberg_a_matrix(HamiltonianParams(0j, 0.1 + 0j), -0.1, 30)
+            heisenberg_a_matrix(HamiltonianParams(0j, 0.1 + 0j), [-0.1], 30)
 
 
 class TestTraces:
@@ -340,6 +378,56 @@ class TestTraces:
             oracle_sweep(np.zeros(shape, dtype=complex), HamiltonianParams(), [0.0])
 
 
+class TestSweepSizing:
+    def test_leakage_matches_brute_force_edge_population(self, monkeypatch):
+        # a basis far too small for the flow, so the evolved state reaches its
+        # top levels; evolve rho there explicitly and read the edge population
+        state = GaussianStateParams(alpha=from_polar(0.8, 0.4),
+                                    xi=SqueezeParam(0.4, 1.0), nbar=0.3)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        taus = [0.0, 0.5, 1.0, 1.5]
+        dim, small = 30, 50
+        monkeypatch.setattr(fock_oracle, "_evolution_dim", lambda *args: small)
+        rho = gaussian_rho(state, dim)
+        sweep = oracle_sweep(rho, params, taus)
+        assert sweep.working_dim == small
+
+        w, v = np.linalg.eigh(hamiltonian_matrix(params, small))
+        padded = np.zeros((small, small), dtype=complex)
+        padded[:dim, :dim] = rho
+        edge = math.ceil(0.9 * small)
+        populations = []
+        for tau in taus:
+            u = (v * np.exp(-1j * w * tau)) @ v.conj().T
+            evolved = u @ padded @ u.conj().T
+            populations.append(np.trace(evolved[edge:, edge:]).real)
+        assert max(populations) > 1e-4  # the check is not vacuous
+        assert abs(sweep.leakage - max(populations)) <= 1e-12
+
+    @pytest.mark.parametrize("nbar, r, theta, alpha, quantized", [
+        (1.0, 0.8, math.pi, 1.5, 928),  # the hull's worst corner: rho fills dim
+        (0.2, 0.3, 0.0, 0.5, 512),
+    ])
+    def test_working_dim_is_sized_from_the_support(self, nbar, r, theta, alpha, quantized):
+        # quantized: the size the rule with r steps of 0.4, shift steps of 2
+        # and sqrt(dim) gave these sweeps
+        state = GaussianStateParams(alpha=alpha + 0j, xi=SqueezeParam(r, theta), nbar=nbar)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        dim, taus = 120, [0.0, 0.5, 1.0]
+        rho = gaussian_rho(state, dim)
+        populations = rho.diagonal().real
+        support = next((d for d in range(1, dim + 1) if populations[d:].sum() < 1e-17), dim)
+        expected = max(
+            dim,
+            *(math.ceil((math.sqrt(support) * math.exp(r * tau) + 4.0
+                         + abs(heisenberg_flow(params.b, params.c, tau).shift)) ** 2)
+              for tau in taus),
+        )
+        sweep = oracle_sweep(rho, params, taus)
+        assert sweep.working_dim == expected < quantized
+        assert abs(sweep.leakage) < 1e-15
+
+
 class TestConvergenceCheck:
     def test_vacuum_adjacent_converges_at_small_dim(self):
         state = GaussianStateParams(alpha=0.2 + 0j, xi=SqueezeParam(0.1, 0.0), nbar=0.05)
@@ -351,11 +439,23 @@ class TestConvergenceCheck:
         assert report.g2_rel_change < 1e-6
 
     def test_hard_squeezing_flagged_at_small_dim(self):
+        # r 2.5 needs 6569 levels to prepare 40 and 12761 to prepare the
+        # doubled 80: refused at the cap
         state = GaussianStateParams(alpha=0j, xi=SqueezeParam(2.5, 0.0), nbar=0.0)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
-        report = convergence_check(state, params, 0.1, 40)
+        with pytest.raises(TruncationError, match=f"cap of {_WORKING_DIM_CAP}"):
+            convergence_check(state, params, 0.1, 40)
+
+    def test_leakage_above_tolerance_is_not_converged(self, monkeypatch):
+        state = GaussianStateParams(alpha=from_polar(0.8, 0.4),
+                                    xi=SqueezeParam(0.4, 1.0), nbar=0.3)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        sized = convergence_check(state, params, 1.5, 60)
+        assert sized.converged and sized.leakage < LEAKAGE_TOL
+        monkeypatch.setattr(fock_oracle, "_evolution_dim", lambda *args: 70)
+        report = convergence_check(state, params, 1.5, 60)
+        assert report.working_dim == 70 and report.leakage > LEAKAGE_TOL
         assert not report.converged
-        assert report.tail_mass > 1e-8
 
     def test_vacuum_propagates_undefined_coherence(self):
         vacuum = GaussianStateParams(alpha=0j, xi=SqueezeParam(0.0, 0.0), nbar=0.0)

@@ -15,15 +15,16 @@ import numpy as np
 import pytest
 
 from g2tau import HamiltonianParams, UndefinedCoherenceError, g2_oracle
-from g2tau import gaussian_rho, sweep_cli
-from g2tau.fock_oracle import oracle_sweep
+from g2tau import fock_oracle, gaussian_rho, sweep_cli
+from g2tau.fock_oracle import LEAKAGE_TOL, TruncationError, oracle_sweep
 from g2tau.param_map import GenerationSpec, hamiltonian_from_state
 from g2tau.sweep_cli import (
-    COMPARE_REL_TOL,
     EXIT_COMPARE,
     EXIT_OK,
     EXIT_UNDEFINED,
     EXIT_USAGE,
+    MAX_AMPLITUDE,
+    MAX_COSH_ARG,
     MAX_STEPS,
     UsageError,
     main,
@@ -122,6 +123,15 @@ class TestParseConfig:
     def test_dash_output_means_stdout(self):
         assert config_from("--output", "-").output_path is None
 
+    @pytest.mark.parametrize("argv", [
+        ["--r", "0.5", "--tau-max", "708"],  # 2(r + r(tau_max)) = 709
+        ["--alpha-mag", "5e153"],  # |A| grows to 2 |alpha| by tau = t_gen
+        ["--alpha-mag", "2.8e149", "--r", "1", "--tau-max", "9"],  # grows by 34844
+    ])
+    def test_mean_stays_finite_at_the_bounds(self, argv):
+        rows = run_sweep(config_from(*argv, "--steps", "4"))
+        assert all(math.isfinite(row.mean_n) for row in rows)
+
 
 class TestRunSweep:
     def test_grid_shape_and_uniformity(self):
@@ -210,10 +220,11 @@ class TestRunCompare:
         assert report.convergence.converged
 
     def test_under_resolved_oracle_is_flagged(self):
+        # preparing 40 levels of r 2.5 needs 6569 working levels: refused
         config = config_from("--r", "2.5", "--mode", "compare", "--oracle-dim", "40",
                              "--steps", "2", "--tau-max", "0.1")
-        report = run_compare(config)
-        assert report.max_rel_err > COMPARE_REL_TOL or not report.convergence.converged
+        with pytest.raises(TruncationError, match="cap of 3072"):
+            run_compare(config)
 
 
 class TestMainExitCodes:
@@ -262,12 +273,12 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("mode", ["oracle", "compare"])
     def test_state_outside_the_oracle_basis_is_undefined(self, mode, capsys):
-        # |alpha| = 50 puts the state far past the lowest 16 working levels,
-        # so the block that is kept has zero trace
+        # |alpha| = 40 puts the state far past the lowest 2 of its 2063
+        # working levels, so the block that is kept has zero trace
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["--alpha-mag", "50", "--mode", mode,
-                         "--oracle-dim", "16", "--steps", "2"])
+            code = main(["--alpha-mag", "40", "--mode", mode,
+                         "--oracle-dim", "2", "--steps", "2"])
         assert code == EXIT_UNDEFINED
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -275,18 +286,64 @@ class TestMainExitCodes:
         assert len(lines) == 1 and lines[0].startswith("g2tau: error:")
         assert "nan" not in captured.err
 
-    @pytest.mark.parametrize("argv", [
-        ["--alpha-mag", "13", "--steps", "2"],
-        ["--r", "2.5", "--oracle-dim", "40", "--steps", "2", "--tau-max", "0.1"],
+    @pytest.mark.parametrize("mode", ["oracle", "compare"])
+    @pytest.mark.parametrize("argv, needed", [
+        (["--alpha-mag", "50", "--oracle-dim", "16"], 3364),
+        (["--r", "2.5", "--oracle-dim", "40", "--tau-max", "0.1"], 6569),
+        (["--r", "0.3", "--tau-max", "12"], 43169),  # the evolution basis, not rho's
     ])
-    def test_oracle_truncation_failure(self, argv, capsys):
-        # the state reaches the top of the oracle_dim basis: no rows, exit 3
+    def test_basis_above_the_cap_is_refused(self, argv, needed, mode, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--mode", mode, "--steps", "2"])
+        assert code == EXIT_COMPARE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("g2tau: truncation failed:")
+        assert f"working dimension of {needed} " in lines[0]
+        assert "cap of 3072" in lines[0] and "oracle_dim=" in lines[0]
+        assert "nan" not in captured.err
+
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(["--alpha-mag", "13", "--steps", "2"], "tail_mass=", id="argv0"),
+        pytest.param(["--r", "2.5", "--oracle-dim", "40", "--steps", "2", "--tau-max", "0.1"],
+                     "cap of 3072", id="argv1"),
+    ])
+    def test_oracle_truncation_failure(self, argv, named, capsys):
+        # the state reaches the top of the oracle_dim basis, or preparing it
+        # needs more than the cap: no rows, exit 3
         assert main(argv + ["--mode", "oracle"]) == EXIT_COMPARE
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("g2tau: truncation failed:")
-        assert "tail_mass=" in lines[0] and "oracle_dim=" in lines[0]
+        assert named in lines[0] and "oracle_dim=" in lines[0]
+
+    def test_oracle_leakage_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(fock_oracle, "_evolution_dim", lambda *args: 70)
+        code = main(["--nbar", "0.3", "--r", "0.4", "--alpha-mag", "0.8", "--mode", "oracle",
+                     "--oracle-dim", "60", "--tau-max", "1.5", "--steps", "2"])
+        assert code == EXIT_COMPARE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("g2tau: truncation failed: leakage=")
+        assert "working_dim=70" in lines[0] and "oracle_dim=60" in lines[0]
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["--r", "0.5", "--tau-max", "1000"], f"<= {MAX_COSH_ARG:g}"),
+        (["--alpha-mag", "1e200"], f"<= {MAX_AMPLITUDE:g}"),
+        (["--alpha-mag", "1e154", "--r", "0.1"], f"<= {MAX_AMPLITUDE:g}"),
+        (["--alpha-mag", "1e150", "--r", "1", "--tau-max", "10"], f"<= {MAX_AMPLITUDE:g}"),
+    ])
+    def test_overflowing_mean_is_a_usage_error(self, argv, bound, capsys):
+        assert main(argv + ["--steps", "2"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if line.startswith("g2tau: error:")]
+        assert len(errors) == 1 and bound in errors[0]
 
     def test_steps_above_the_bound_are_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -299,7 +356,8 @@ class TestMainExitCodes:
             assert len(errors) == 1 and str(MAX_STEPS) in errors[0]
 
     def test_compare_failure(self, capsys):
-        code = main(["--r", "2.5", "--mode", "compare", "--oracle-dim", "40",
+        # 40 levels cannot hold r 1.4: the worst error is 5.8e-2, unconverged
+        code = main(["--r", "1.4", "--mode", "compare", "--oracle-dim", "40",
                      "--steps", "2", "--tau-max", "0.1"])
         assert code == EXIT_COMPARE
         captured = capsys.readouterr()
@@ -371,6 +429,32 @@ class TestOutput:
         assert report["convergence"]["converged"] is True
         assert report["max_rel_err"] < 1e-5
         assert "g2_oracle" in doc["samples"][0]
+        convergence = report["convergence"]
+        assert convergence["working_dim"] == doc["metadata"]["working_dim"] >= 120
+        assert convergence["leakage"] == doc["metadata"]["leakage"] < LEAKAGE_TOL
+
+    @pytest.mark.parametrize("mode", ["oracle", "compare"])
+    def test_oracle_outputs_state_their_basis(self, mode, capsys):
+        argv = ["--nbar", "0.4", "--r", "0.2", "--alpha-mag", "0.5", "--mode", mode,
+                "--oracle-dim", "40", "--steps", "2", "--tau-max", "0.3"]
+        assert main(argv) == EXIT_OK
+        header = [line for line in capsys.readouterr().out.splitlines() if line.startswith("#")]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        metadata = json.loads(capsys.readouterr().out)["metadata"]
+        working_dim, leakage = metadata["working_dim"], metadata["leakage"]
+        assert working_dim >= 40 and abs(leakage) < LEAKAGE_TOL
+        basis = [line for line in header if line.startswith("# oracle_dim=")]
+        assert len(basis) == 1
+        assert basis[0].startswith(f"# oracle_dim=40 working_dim={working_dim} leakage=")
+        assert float(basis[0].rpartition("=")[2]) == leakage
+        named = mode == "oracle"
+        assert ("# closed-form columns: r_tau,n_tau,s_tau" in header) == named
+        assert metadata.get("closed_form_columns") == (["r_tau", "n_tau", "s_tau"] if named else None)
+
+    def test_closed_form_output_names_no_oracle_basis(self, capsys):
+        assert main(["--nbar", "1", "--steps", "2", "--format", "json"]) == EXIT_OK
+        metadata = json.loads(capsys.readouterr().out)["metadata"]
+        assert not {"oracle_dim", "working_dim", "leakage", "closed_form_columns"} & set(metadata)
 
     @pytest.mark.parametrize("mode", ["closed_form", "oracle", "compare"])
     def test_csv_and_json_share_one_row_schema(self, mode, capsys):
