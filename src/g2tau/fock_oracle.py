@@ -14,10 +14,12 @@ stretch and displacement stay inside the basis, then cropped to the
 requested dimension `dim`; the remaining error is set by the state's own
 Fock tail, which is what convergence_check measures.  The displacement is
 built from its exact Fock matrix elements (associated Laguerre polynomials,
-by a stable recurrence), with no eigensolve; the squeeze never mixes even
-and odd number states, so it is exponentiated block by block.  Every
-working basis is sized from the exact stretch and shift it must hold, and
-one that would exceed _WORKING_DIM_CAP raises TruncationError.
+by a stable recurrence), and the squeeze from its exact matrix elements
+(a neutrally stable recurrence along each diagonal), so preparing the state
+makes no eigensolve; only the columns of S that the thermal weights keep
+are built.  Every working basis is sized from the exact stretch and shift
+it must hold, and one that would exceed _WORKING_DIM_CAP raises
+TruncationError.
 
 A delay sweep (:func:`oracle_sweep`) evolves in one working basis of N
 states, sized from the levels rho occupies and the largest flow stretch and
@@ -169,12 +171,6 @@ def ladder_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
-def _expi_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(1j * h) for Hermitian h."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 # Dense eigensystems above this size cost minutes, not seconds.  A basis that
 # would need more is refused: a smaller one gives quietly wrong numbers.
 _WORKING_DIM_CAP = 3072
@@ -247,28 +243,55 @@ def displacement(alpha: complex, dim: int, rows: int | None = None) -> np.ndarra
     return out
 
 
-def _squeeze_blocks(xi: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """S(xi) restricted to the even and to the odd number states.
+def squeeze(xi: complex, dim: int, cols: int | None = None) -> np.ndarray:
+    """Columns 0..cols-1 (default all) of S(xi) = exp((xi*/2) a² - (xi/2) a†²) on `dim` states.
 
-    The generator (xi*/2) a² - (xi/2) a†² couples n only to n ± 2, so S never
-    mixes parities, and on each parity the generator is tridiagonal: entry
-    (n, n + 2) of -1j times it is -(1j/2) xi* sqrt((n + 1)(n + 2)).
+    Every entry is the exact matrix element of the untruncated operator, so
+    the full matrix is unitary up to the weight S moves past `dim`.  With
+    xi = r e^{i theta}, s = sech r and t = e^{i theta} tanh r, S couples n
+    only to n ± 2l, and from its disentangled form
+    exp(-(t/2) a†²) s^{a†a + 1/2} exp((t*/2) a²)
+
+        <n+2l|S|n> = sqrt(s) (-t/2)^l f_n^(l),   <n|S|n+2l> = sqrt(s) (t*/2)^l f_n^(l),
+        f_0^(l)    = sqrt((2l)!) / l!
+
+    (cf. Miatto & Quesada, Quantum 4, 366 (2020); The Walrus, JOSS 4, 1705
+    (2019)).  sqrt(s) |t/2|^l f_0^(l) is formed in log space, and every
+    offset l is carried up in n at once by
+
+        sqrt((n+1)(n+1+2l)) f_{n+1} = s (2n+1+2l) f_n - sqrt(n(n+2l)) f_{n-1}.
+
+    Its argument s lies in (0, 1], the oscillatory region, so the upward run
+    is neutrally stable, as Legendre's is; recurrences along rows or columns
+    of S itself drift by orders of magnitude more.
     """
     _require_dim(dim)
-    n = np.arange(dim - 2)
-    pair = -0.5j * np.conjugate(xi) * np.sqrt((n + 1.0) * (n + 2.0))
-    blocks = []
-    for parity in (0, 1):
-        k = np.diag(pair[parity::2], 1)
-        blocks.append(_expi_hermitian(k + k.conj().T))
-    return blocks[0], blocks[1]
-
-
-def squeeze(xi: complex, dim: int) -> np.ndarray:
-    """Squeeze matrix S(xi) = exp((xi*/2) a² - (xi/2) a†²)."""
-    out = np.zeros((dim, dim), dtype=complex)
-    for parity, block in enumerate(_squeeze_blocks(complex(xi), dim)):
-        out[parity::2, parity::2] = block
+    xi = complex(xi)
+    cols = dim if cols is None else cols
+    out = np.zeros((dim, cols), dtype=complex)
+    r = abs(xi)
+    if r == 0.0:
+        out[np.arange(cols), np.arange(cols)] = 1.0
+        return out
+    log_s = math.log(2.0) - r - math.log1p(math.exp(-2.0 * r))  # log sech r, finite at any r
+    s = math.exp(log_s)
+    offsets = (dim + 1) // 2
+    pairs = np.arange(offsets, dtype=float)  # l
+    k = 2.0 * pairs
+    log_f0 = [0.5 * math.lgamma(2 * j + 1.0) - math.lgamma(j + 1.0) for j in range(offsets)]
+    log_half_t = math.log(math.tanh(r)) - math.log(2.0)  # tanh r / 2 underflows for subnormal r
+    f = np.exp(0.5 * log_s + pairs * log_half_t + np.array(log_f0))
+    f_prev = np.zeros(offsets)
+    unit = xi / r
+    below = np.cumprod(np.r_[1.0, np.full(offsets - 1, -unit)])  # (-t/|t|)^l
+    above = np.cumprod(np.r_[1.0, np.full(offsets - 1, np.conjugate(unit))])  # (t*/|t|)^l
+    for n in range(cols):
+        down = (dim - n + 1) // 2
+        across = (cols - n + 1) // 2
+        out[n::2, n] = f[:down] * below[:down]
+        out[n, n + 2 :: 2] = f[1:across] * above[1:across]
+        f_next = s * (2 * n + 1 + k) * f - np.sqrt(n * (n + k)) * f_prev
+        f_prev, f = f, f_next / np.sqrt((n + 1) * (n + 1 + k))
     return out
 
 
@@ -285,6 +308,13 @@ def thermal_rho(nbar: float, dim: int) -> np.ndarray:
     return np.diag(_thermal_weights(nbar, dim)).astype(complex)
 
 
+def _support(populations: np.ndarray) -> int:
+    """Smallest d whose levels d, d+1, ... hold less than _SUPPORT_TOL of `populations`."""
+    suffix = np.cumsum(populations[::-1])[::-1]
+    below = np.flatnonzero(suffix < _SUPPORT_TOL)
+    return int(below[0]) if below.size else populations.size
+
+
 def gaussian_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
     """Density matrix D S rho_thermal S† D†, re-hermitized and renormalized.
 
@@ -292,14 +322,15 @@ def gaussian_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
     displacement, then cropped to the lowest-dim block, so the entries agree
     with the infinite-dimensional state up to its own tail mass: the same
     product built directly at `dim` has its edge rows corrupted by the
-    truncated operator products.  Each call returns a new array.
+    truncated operator products.  Only the K columns of S that carry thermal
+    weight are built, K the support of the weights at _SUPPORT_TOL, and no
+    eigensolve is made.  Each call returns a new array.
     """
     big = _working_dim(dim, state.xi.r, abs(state.alpha))
-    d_top = displacement(state.alpha, big, rows=dim)
-    prep_top = np.empty_like(d_top)
-    for parity, block in enumerate(_squeeze_blocks(state.xi.xi, big)):
-        prep_top[:, parity::2] = d_top[:, parity::2] @ block
-    rho = (prep_top * _thermal_weights(state.nbar, big)) @ prep_top.conj().T
+    weights = _thermal_weights(state.nbar, big)
+    kept = _support(weights)
+    prep_top = displacement(state.alpha, big, rows=dim) @ squeeze(state.xi.xi, big, cols=kept)
+    rho = (prep_top * weights[:kept]) @ prep_top.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     trace = np.trace(rho).real
     if not np.finfo(float).tiny <= trace < math.inf:
@@ -340,13 +371,6 @@ def _evolution_dim(params: HamiltonianParams, taus: np.ndarray, dim: int) -> int
         _working_dim(dim, r_of_tau(params.c, tau), abs(alpha_of_tau(params.b, params.c, tau)))
         for tau in taus
     )
-
-
-def _support(rho: np.ndarray) -> int:
-    """Smallest d whose levels d, d+1, ... of rho hold less than _SUPPORT_TOL."""
-    suffix = np.cumsum(rho.diagonal().real[::-1])[::-1]
-    below = np.flatnonzero(suffix < _SUPPORT_TOL)
-    return int(below[0]) if below.size else rho.shape[0]
 
 
 def heisenberg_a_matrix(
@@ -400,7 +424,7 @@ def oracle_sweep(
         raise ValueError(f"rho must be a square matrix of size >= 2, got shape {rho.shape}")
     taus = _delays(taus)
     dim = rho.shape[0]
-    big = max(dim, _evolution_dim(params, taus, _support(rho)))
+    big = max(dim, _evolution_dim(params, taus, _support(rho.diagonal().real)))
     w, v = np.linalg.eigh(hamiltonian_matrix(params, big))
     v_top = v[:dim].copy()  # rho and a rho a† live on the lowest dim states
     v_edge = v[math.ceil(0.9 * big) :].copy()

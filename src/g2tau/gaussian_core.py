@@ -251,7 +251,9 @@ def coherence_sample(
 
     Raises UndefinedCoherenceError for the vacuum — or anything whose mean
     photon number underflows to zero, which makes g2's normalization vanish
-    just as surely (e.g. a subnormal squeeze magnitude).
+    just as surely (e.g. a subnormal squeeze magnitude).  Raises
+    OverflowError when g2's numerator, or its ratio to the two mean photon
+    numbers, is not finite in double precision, where g2 would be nan.
     """
     mean0 = mean_photon_initial(state)
     if mean0 == 0.0:
@@ -271,11 +273,16 @@ def coherence_sample(
     anom = alpha * amp * phase.conjugate() + alpha.conjugate() * amp.conjugate() * phase
     numerator = n_corr * n_corr + s_corr * s_corr + coh.real * n_corr - anom.real * s_corr
     denominator = mean0 * mean_t
-    if denominator >= _SMALLEST_NORMAL:
+    if _SMALLEST_NORMAL <= denominator < math.inf:
         ratio = numerator / denominator
     else:
-        # the product of two tiny means underflows: divide one at a time
+        # the product of the two means underflows or overflows: divide one at a time
         ratio = numerator / mean0 / mean_t
+    if not math.isfinite(ratio):
+        raise OverflowError(
+            f"g2 is not finite in double precision at tau={tau:.6g}: its numerator is "
+            f"{numerator:.6g} for mean photon numbers {mean0:.6g} and {mean_t:.6g}"
+        )
 
     return CoherenceSample(
         tau=tau,

@@ -13,7 +13,8 @@ Usage examples:
     g2tau --alpha-mag 1 --r 0.3 --mode compare    # closed form vs oracle
     g2tau --config run.json --format json --output curve.json
 
-Exit status: 0 success; 1 usage error; 2 undefined coherence (vacuum state);
+Exit status: 0 success; 1 usage error (including a state whose closed-form
+g2 overflows double precision); 2 undefined coherence (vacuum state);
 3 comparison or truncation failure (compare: worst relative error above 1e-4
 or oracle not converged; oracle: more than 1e-4 of rho in its top 10% levels,
 or more than 1e-8 of the evolved state in the top 10% of the working basis;
@@ -302,12 +303,16 @@ def _evaluate(
 
     Every mode computes the closed-form rows; oracle mode then takes mean_n
     and g2 from the oracle, whose sweep covers the whole grid in one call.
-    The vacuum is rejected by the first row, before any oracle work.
+    The vacuum is rejected by the first row, before any oracle work, and a
+    row whose g2 overflows double precision is a usage error.
     """
     state = config.state
     params = hamiltonian_from_state(GenerationSpec(state=state, t=config.t_gen))
     taus = [config.tau_max * i / config.steps for i in range(config.steps + 1)]
-    rows = [coherence_sample(state, params.b, params.c, tau) for tau in taus]
+    try:
+        rows = [coherence_sample(state, params.b, params.c, tau) for tau in taus]
+    except OverflowError as exc:
+        raise UsageError(str(exc)) from None
     if config.mode == "closed_form":
         return params, rows, None, None
     rho = gaussian_rho(state, config.oracle_dim)  # held to the end: freed early, peak RSS rose 4%
@@ -449,13 +454,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run the sweep; returns the process exit status."""
     try:
         config = parse_config(argv)
+        params, rows, sweep, report = _evaluate(config)
     except UsageError as exc:
         print(f"g2tau: error: {exc}", file=sys.stderr)
         print("run 'g2tau --help' for usage", file=sys.stderr)
         return EXIT_USAGE
-
-    try:
-        params, rows, sweep, report = _evaluate(config)
     except UndefinedCoherenceError as exc:
         print(f"g2tau: error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED

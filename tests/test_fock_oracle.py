@@ -29,7 +29,6 @@ from g2tau.fock_oracle import (
     _WORKING_DIM_CAP,
     LEAKAGE_TOL,
     TruncationError,
-    _expi_hermitian,
     _working_dim,
     displacement,
     hamiltonian_matrix,
@@ -43,6 +42,12 @@ from g2tau.fock_oracle import (
 
 def op_norm(m):
     return np.linalg.norm(m, 2)
+
+
+def _expi_hermitian(h):
+    """exp(1j * h) for Hermitian h, by a dense eigensolve: the reference exponential."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 class TestLadder:
@@ -80,19 +85,23 @@ class TestDisplacementSqueeze:
             np.testing.assert_allclose(d[0, 0], math.exp(-0.5), rtol=0, atol=1e-12)
 
     def test_unitary_on_low_block(self):
-        dim, half = 80, 40
-        for u in (displacement(1.2 - 0.7j, dim), squeeze(from_polar(0.9, 2.1), dim)):
-            defect = (u.conj().T @ u - np.eye(dim))[:half, :half]
+        # both are exact elements, so each basis must hold the first 40
+        # columns: 80 levels hold D's, the squeeze stretch needs more
+        half, r = 40, 0.9
+        squeezed = squeeze(from_polar(r, 2.1), _working_dim(half, r, 0.0))
+        for u in (displacement(1.2 - 0.7j, 80), squeezed):
+            defect = (u.conj().T @ u)[:half, :half] - np.eye(half)
             assert op_norm(defect) < 1e-8
 
-    def test_parity_split_squeeze_matches_dense_generator(self):
-        # exp of the generator built from dense a² and a†² products, in one piece
-        dim, half = 96, 48
-        a, adag = ladder_operators(dim)
+    def test_squeeze_matches_dense_generator(self):
+        # exp of the generator built from dense a² and a†² products, in one
+        # piece, at twice the size, is exact on the lowest 48 levels
+        dim, block = 128, 48
+        a, adag = ladder_operators(2 * dim)
         for xi in (from_polar(0.9, 2.1), from_polar(1.2, 0.0), 0.3j):
             gen = 0.5 * np.conjugate(xi) * (a @ a) - 0.5 * xi * (adag @ adag)
             dense = _expi_hermitian(-1j * gen)
-            defect = (squeeze(xi, dim) - dense)[:half, :half]
+            defect = (squeeze(xi, dim) - dense[:dim, :dim])[:block, :block]
             assert np.abs(defect).max() < 1e-13
 
     def test_displacement_moves_vacuum_mean(self):
@@ -153,6 +162,63 @@ class TestDisplacementElements:
         assert np.abs(norms - 1.0).max() < 1e-12
 
 
+class TestSqueezeElements:
+    """S(xi) against references that do not share its diagonal recurrence."""
+
+    @pytest.mark.parametrize("r", [0.3, 0.9, 1.5])
+    def test_first_row_and_column(self, r):
+        # the squeezed vacuum:
+        # <2l|S|0> = (-e^{i theta} tanh r)^l sqrt(C(2l, l)) / 2^l / sqrt(cosh r)
+        theta = 0.4
+        dim = 60
+        s = squeeze(from_polar(r, theta), dim)
+        pairs = np.arange(dim // 2)
+        norm = np.array([math.sqrt(math.comb(2 * j, j)) / 2.0**j for j in pairs])
+        norm /= math.sqrt(math.cosh(r))
+        column = np.zeros(dim, dtype=complex)
+        row = np.zeros(dim, dtype=complex)
+        column[::2] = norm * (-np.exp(1j * theta) * math.tanh(r)) ** pairs
+        row[::2] = norm * (np.exp(-1j * theta) * math.tanh(r)) ** pairs
+        np.testing.assert_allclose(s[:, 0], column, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(s[0], row, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("r", [0.3, 0.9, 1.5])
+    def test_matches_dense_generator_exponential(self, r):
+        # exp((xi*/2) a² - (xi/2) a†²) truncated at twice the size is exact on
+        # the lowest dim/4 levels, which a stretch of e^1.5 keeps inside it
+        xi = from_polar(r, 2.2)
+        dim = 192
+        a, adag = ladder_operators(2 * dim)
+        gen = 0.5 * np.conjugate(xi) * (a @ a) - 0.5 * xi * (adag @ adag)
+        dense = _expi_hermitian(-1j * gen)
+        quarter = slice(0, dim // 4)
+        defect = squeeze(xi, dim)[quarter, quarter] - dense[quarter, quarter]
+        assert np.abs(defect).max() < 1e-12
+
+    @pytest.mark.parametrize("r", [0.3, 0.9, 1.5])
+    def test_transpose_is_squeeze_by_minus_conjugate(self, r):
+        xi = from_polar(r, -1.1)
+        np.testing.assert_allclose(squeeze(xi, 80).T, squeeze(-np.conjugate(xi), 80),
+                                   rtol=0, atol=1e-15)
+
+    def test_strong_squeeze_columns_are_finite_unit_vectors(self):
+        # recurrences along the rows or columns of S drift here, to norm
+        # errors of 3e-8 and 4e-8 over the first 60 columns
+        s = squeeze(from_polar(1.5, 0.7), 3072, cols=60)
+        assert np.isfinite(s).all()
+        norms = np.linalg.norm(s, axis=0)
+        assert np.abs(norms - 1.0).max() < 1e-12
+
+    def test_subnormal_squeeze_is_the_identity(self):
+        # tanh(r) / 2 underflows to zero here, so its logarithm must not be taken
+        np.testing.assert_allclose(squeeze(from_polar(5e-324, 0.3), 40), np.eye(40),
+                                   rtol=0, atol=1e-15)
+
+    def test_kept_columns_are_the_full_matrix_columns(self):
+        xi = from_polar(0.9, 0.4)
+        np.testing.assert_array_equal(squeeze(xi, 200, cols=37), squeeze(xi, 200)[:, :37])
+
+
 class TestThermalRho:
     def test_zero_temperature_is_vacuum_projector(self):
         rho = thermal_rho(0.0, 30)
@@ -202,8 +268,8 @@ class TestGaussianRho:
         np.testing.assert_allclose(np.trace(rho).real, 1.0, rtol=0, atol=1e-8)
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
-    def test_only_the_squeeze_blocks_are_eigensolved(self, monkeypatch):
-        # D comes from its matrix elements; S from one eigensolve per parity
+    def test_no_eigensolve(self, monkeypatch):
+        # D and S both come from their exact matrix elements
         eigh = np.linalg.eigh
         sizes = []
 
@@ -214,11 +280,8 @@ class TestGaussianRho:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         state = GaussianStateParams(alpha=from_polar(0.9, 0.3),
                                     xi=SqueezeParam(0.6, 1.0), nbar=0.5)
-        dim = 120
-        working = _working_dim(dim, state.xi.r, abs(state.alpha))
-        gaussian_rho(state, dim)
-        assert len(sizes) == 2
-        assert max(sizes) <= math.ceil(working / 2)
+        gaussian_rho(state, 120)
+        assert sizes == []
 
     def test_returned_copy_is_safe_to_mutate(self):
         state = GaussianStateParams(alpha=0.5 + 0j, xi=SqueezeParam(0.3, 0.0), nbar=0.1)

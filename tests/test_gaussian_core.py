@@ -202,6 +202,23 @@ class TestG2:
         with pytest.raises(UndefinedCoherenceError):
             g2(vacuum, p.b, p.c, 0.5)
 
+    @pytest.mark.parametrize("nbar, r, tau", [(1e300, 0.0, 0.0), (0.0, 100.0, 2.5)])
+    def test_overflowing_numerator_raises(self, nbar, r, tau):
+        # the squared n(tau) in the numerator passes the largest double, so
+        # g2 would be nan
+        state = GaussianStateParams(alpha=0j, xi=SqueezeParam(r, 0.0), nbar=nbar)
+        p = couplings(state, 1.0)
+        with pytest.raises(OverflowError, match="not finite"):
+            coherence_sample(state, p.b, p.c, tau)
+
+    def test_overflowing_denominator_alone_keeps_the_ratio(self):
+        # displaced thermal light with nbar = |alpha|² = x: g2(0) = 1 + 3x²/(2x)²;
+        # at x = 7e153 the product of the means overflows but the numerator does not
+        x = 7e153
+        state = GaussianStateParams(alpha=math.sqrt(x) + 0j, xi=SqueezeParam(0.0, 0.0), nbar=x)
+        p = couplings(state, 1.0)
+        np.testing.assert_allclose(g2(state, p.b, p.c, 0.0), 1.75, rtol=0, atol=1e-12)
+
     def test_thermal_is_two_for_all_delays(self):
         state = GaussianStateParams(alpha=0j, xi=SqueezeParam(0.0, 0.0), nbar=0.9)
         p = couplings(state, 1.0)

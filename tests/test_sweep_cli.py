@@ -197,9 +197,9 @@ class TestEigensolveCount:
                             "--mode", mode, "--oracle-dim", "40", "--tau-max", "0.5",
                             "--steps", str(steps)))
             counts.append(len(sizes))
-        # rho at oracle_dim is two squeeze-block eigensolves and the sweep one
-        # Hamiltonian eigensolve; the doubling check repeats both at 2 * oracle_dim
-        expected = {"oracle": 3, "compare": 6}[mode]
+        # rho is built with no eigensolve and the sweep makes one Hamiltonian
+        # eigensolve; the doubling check repeats it at 2 * oracle_dim
+        expected = {"oracle": 1, "compare": 2}[mode]
         assert counts == [expected, expected]
 
 
@@ -344,6 +344,23 @@ class TestMainExitCodes:
         assert "Traceback" not in captured.err
         errors = [line for line in captured.err.splitlines() if line.startswith("g2tau: error:")]
         assert len(errors) == 1 and bound in errors[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["--nbar", "1e300", "--steps", "1"],
+        ["--r", "100", "--tau-max", "2.5", "--steps", "2"],
+    ])
+    def test_overflowing_g2_is_a_usage_error(self, argv, tmp_path, capsys):
+        # mean_n is finite, but g2's numerator or denominator is not: no nan
+        # rows with exit 0, and no output file
+        output = tmp_path / "out.csv"
+        for args in (argv, argv + ["--output", str(output)]):
+            assert main(args) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Traceback" not in captured.err
+            errors = [line for line in captured.err.splitlines() if line.startswith("g2tau: error:")]
+            assert len(errors) == 1 and "not finite" in errors[0]
+        assert not output.exists()
 
     def test_steps_above_the_bound_are_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
