@@ -21,11 +21,15 @@ are built.  Every working basis is sized from the exact stretch and shift
 it must hold, and one that would exceed _WORKING_DIM_CAP raises
 TruncationError.
 
-A delay sweep (:func:`oracle_sweep`) evolves in one working basis of N
-states, sized from the levels rho occupies and the largest flow stretch and
-shift over its delays.  One eigendecomposition H = V diag(w) V† serves
-every delay: with the phases Phi = exp(i tau w), n the number operator on
-the working basis and V_edge the rows of V for its top 10% levels,
+A delay sweep (:func:`oracle_sweep`) evolves rho in one working basis of N
+states at a time.  It first tries N = dim, the levels rho lives on, and
+keeps that result when its measured leakage (below) is at most LEAKAGE_TOL;
+otherwise it evolves once more in a basis sized from the levels rho
+occupies and the largest flow stretch and shift over its delays, which is
+also the most it ever uses.  In each basis one eigendecomposition
+H = V diag(w) V† serves every delay: with the phases Phi = exp(i tau w), n
+the number operator on the working basis and V_edge the rows of V for its
+top 10% levels,
 
     Tr[rho n(tau)]      = sum_jk Phi_j Mr_jk conj(Phi_k),  Mr = (V† rho V)^T ∘ (V† n V)
     Tr[rho a† n(tau) a] = sum_jk Phi_j Mx_jk conj(Phi_k),  Mx = (V† a rho a† V)^T ∘ (V† n V)
@@ -91,7 +95,9 @@ _SUPPORT_TOL = 1e-17
 #   hull corner at dim 240, tau <= 1:  9.0e-5, 3.8e-6, 1.4e-7 -> 3.6e-4, 1.3e-5, 4.1e-7
 #   |alpha| 3, r 0.5, tau <= 2:  6.8e-6, 1.7e-7, 4.7e-9 -> 6.8e-7, 1.4e-8, 2.8e-10
 # so 1e-8 keeps the evolution's share of the g2 error near 1e-7, under the
-# doubling check's 1e-6.  At the sized N every one of them leaks below 1e-16.
+# doubling check's 1e-6.  At the flow-sized N every one of them leaks below
+# 1e-16.  oracle_sweep also keeps its dim-level basis only when that basis
+# leaks at most this, so the basis it settles on is held to the same bound.
 LEAKAGE_TOL = 1e-8
 
 
@@ -131,8 +137,9 @@ class OracleSweep:
     its rounding error is bounded by floor = N eps sum_jk |Mr_jk| (eps the
     double-precision machine epsilon, N the working dimension).  tail_mass
     is the population of the top 10% of rho's dim-state basis.  working_dim
-    is N, and leakage is the largest population, over the delays, that the
-    evolved state rho(tau) puts in the top 10% of the N working levels.
+    is the N the sweep kept (dim, or the flow size when dim leaked too much),
+    and leakage is the largest population, over the delays, that the evolved
+    state rho(tau) puts in the top 10% of the N working levels.
     """
 
     mean_0: float
@@ -157,6 +164,11 @@ class OracleSweep:
                 f"roundoff floor {self.floor:.1e}, indistinguishable from vacuum"
             )
         return self.numerator / (self.mean_0 * self.mean_n)
+
+
+def _edge_start(n: int) -> int:
+    """First level of the top 10% of an n-level basis; the band keeps at least the top level."""
+    return min(math.ceil(0.9 * n), n - 1)
 
 
 def _require_dim(dim: int) -> None:
@@ -408,26 +420,14 @@ def _real_trace(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def oracle_sweep(
-    rho: np.ndarray, params: HamiltonianParams, taus: Sequence[float]
+def _sweep_in(
+    rho: np.ndarray, params: HamiltonianParams, taus: np.ndarray, big: int
 ) -> OracleSweep:
-    """Tr[rho n(tau)], Tr[rho a† n(tau) a] and the leakage over the delays of `taus`.
-
-    rho lives on the lowest dim = rho.shape[0] number states and n(tau) =
-    e^{iH tau} n e^{-iH tau} acts on one working basis sized for the whole
-    sweep: never below dim, and large enough to hold rho's support (its
-    levels down to a suffix population of _SUPPORT_TOL) through the flow's
-    stretch and shift at every delay.  The Hamiltonian is diagonalized once
-    per call.
-    """
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
-        raise ValueError(f"rho must be a square matrix of size >= 2, got shape {rho.shape}")
-    taus = _delays(taus)
+    """oracle_sweep's traces with n(tau) evolved in the lowest `big` >= dim levels."""
     dim = rho.shape[0]
-    big = max(dim, _evolution_dim(params, taus, _support(rho.diagonal().real)))
     w, v = np.linalg.eigh(hamiltonian_matrix(params, big))
     v_top = v[:dim].copy()  # rho and a rho a† live on the lowest dim states
-    v_edge = v[math.ceil(0.9 * big) :].copy()
+    v_edge = v[_edge_start(big) :].copy()
     v *= np.sqrt(np.arange(big, dtype=float))[:, None]  # V† n V = (√n V)† (√n V)
     # a rho a†: rho moved down one level, sqrt(n) weights on both sides.
     root = np.sqrt(np.arange(1.0, dim))
@@ -463,8 +463,34 @@ def oracle_sweep(
         )
     numerator, mean_n, edge = traces
     mean_0 = float(np.arange(dim) @ rho.diagonal().real)
-    tail_mass = float(np.sum(rho.diagonal()[math.ceil(0.9 * dim) :]).real)
+    tail_mass = float(np.sum(rho.diagonal()[_edge_start(dim) :]).real)
     return OracleSweep(mean_0, mean_n, numerator, floor, tail_mass, big, float(edge.max()))
+
+
+def oracle_sweep(
+    rho: np.ndarray, params: HamiltonianParams, taus: Sequence[float]
+) -> OracleSweep:
+    """Tr[rho n(tau)], Tr[rho a† n(tau) a] and the leakage over the delays of `taus`.
+
+    rho lives on the lowest dim = rho.shape[0] number states, and n(tau) =
+    e^{iH tau} n e^{-iH tau} acts on one working basis for the whole sweep.
+    The flow size comes first: never below dim, and large enough to hold
+    rho's support (its levels down to a suffix population of _SUPPORT_TOL)
+    through the flow's stretch and shift at every delay; above
+    _WORKING_DIM_CAP it raises TruncationError before any eigensolve.  The
+    sweep then runs in the dim-level basis and is kept if its leakage is at
+    most LEAKAGE_TOL; otherwise it runs once more at the flow size.  So the
+    Hamiltonian is diagonalized once, or twice when the dim basis leaks.
+    """
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
+        raise ValueError(f"rho must be a square matrix of size >= 2, got shape {rho.shape}")
+    taus = _delays(taus)
+    dim = rho.shape[0]
+    flow_dim = max(dim, _evolution_dim(params, taus, _support(rho.diagonal().real)))
+    sweep = _sweep_in(rho, params, taus, dim)
+    if flow_dim > dim and sweep.leakage > LEAKAGE_TOL:
+        sweep = _sweep_in(rho, params, taus, flow_dim)
+    return sweep
 
 
 def g2_oracle(

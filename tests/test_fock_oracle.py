@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2tau import (
     GaussianStateParams,
@@ -467,13 +469,24 @@ class TestSweepSizing:
         assert max(populations) > 1e-4  # the check is not vacuous
         assert abs(sweep.leakage - max(populations)) <= 1e-12
 
-    @pytest.mark.parametrize("nbar, r, theta, alpha, quantized", [
-        (1.0, 0.8, math.pi, 1.5, 928),  # the hull's worst corner: rho fills dim
-        (0.2, 0.3, 0.0, 0.5, 512),
-    ])
-    def test_working_dim_is_sized_from_the_support(self, nbar, r, theta, alpha, quantized):
-        # quantized: the size the rule with r steps of 0.4, shift steps of 2
-        # and sqrt(dim) gave these sweeps
+    @staticmethod
+    def _counted_sweep(monkeypatch, rho, params, taus):
+        eigh = np.linalg.eigh
+        sizes = []
+
+        def counting_eigh(matrix, *args, **kwargs):
+            sizes.append(matrix.shape[-1])
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        return oracle_sweep(rho, params, taus), sizes
+
+    def test_hull_corner_falls_back_to_the_flow_size(self, monkeypatch):
+        # rho fills all 120 levels, so the 120-level basis leaks and the sweep
+        # evolves once more in the basis that holds rho's support through the
+        # flow; 928 is what the rule with r steps of 0.4, shift steps of 2 and
+        # sqrt(dim) gave this sweep
+        nbar, r, theta, alpha = 1.0, 0.8, math.pi, 1.5
         state = GaussianStateParams(alpha=alpha + 0j, xi=SqueezeParam(r, theta), nbar=nbar)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 120, [0.0, 0.5, 1.0]
@@ -486,9 +499,70 @@ class TestSweepSizing:
                          + abs(heisenberg_flow(params.b, params.c, tau).shift)) ** 2)
               for tau in taus),
         )
-        sweep = oracle_sweep(rho, params, taus)
-        assert sweep.working_dim == expected < quantized
+        sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
+        assert sizes == [dim, expected] and expected < 928
+        assert sweep.working_dim == expected
         assert abs(sweep.leakage) < 1e-15
+
+    def test_contained_state_stays_in_the_dim_basis(self, monkeypatch):
+        state = GaussianStateParams(alpha=0.5 + 0j, xi=SqueezeParam(0.3, 0.0), nbar=0.2)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        sweep, sizes = self._counted_sweep(monkeypatch, gaussian_rho(state, 120), params,
+                                           [0.0, 0.5, 1.0])
+        assert sizes == [120]
+        assert sweep.working_dim == 120 and sweep.leakage <= LEAKAGE_TOL
+
+    def test_flow_size_within_dim_makes_one_eigensolve(self, monkeypatch):
+        state = GaussianStateParams(alpha=0.2 + 0j, xi=SqueezeParam(0.1, 0.0), nbar=0.05)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        rho, taus = gaussian_rho(state, 120), np.array([0.0, 0.5])
+        flow = fock_oracle._evolution_dim(params, taus, fock_oracle._support(rho.diagonal().real))
+        assert flow <= 120  # the case is not vacuous
+        sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
+        assert sizes == [120] and sweep.working_dim == 120
+
+    @pytest.mark.parametrize("nbar, r, theta, alpha, dim, tau_max", [
+        (0.2, 0.3, 0.0, 0.5, 120, 1.0),
+        (0.6, 0.4, 0.0, 1.0, 120, 1.0),  # leaks 4.9e-10 at dim
+        (0.3, 0.4, 1.0, 0.8, 60, 0.5),  # leaks 3.7e-9 at dim
+    ])
+    def test_dim_basis_agrees_with_the_flow_size(self, nbar, r, theta, alpha, dim, tau_max,
+                                                 monkeypatch):
+        # LEAKAGE_TOL's comment table bounds the g2 error by 10x the leakage
+        state = GaussianStateParams(alpha=alpha + 0j, xi=SqueezeParam(r, theta), nbar=nbar)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        rho, taus = gaussian_rho(state, dim), np.linspace(0.0, tau_max, 11)
+        accepted = oracle_sweep(rho, params, taus)
+        assert accepted.working_dim == dim
+        monkeypatch.setattr(fock_oracle, "LEAKAGE_TOL", -1.0)  # no basis passes
+        flow = oracle_sweep(rho, params, taus)
+        assert flow.working_dim > dim
+        np.testing.assert_allclose(accepted.g2, flow.g2, rtol=10 * LEAKAGE_TOL, atol=0)
+
+    @given(st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=0.5),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.floats(min_value=0.0, max_value=1.5),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=20, deadline=None)
+    def test_kept_basis_passes_or_is_the_flow_size(self, nbar, r, theta, amag, phi, tau):
+        state = GaussianStateParams(alpha=from_polar(amag, phi), xi=SqueezeParam(r, theta),
+                                    nbar=nbar)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        dim, taus = 40, np.linspace(0.0, tau, 5)
+        rho = gaussian_rho(state, dim)
+        flow = max(dim, fock_oracle._evolution_dim(params, taus,
+                                                   fock_oracle._support(rho.diagonal().real)))
+        sweep = oracle_sweep(rho, params, taus)
+        assert sweep.working_dim in (dim, flow)
+        assert sweep.leakage <= LEAKAGE_TOL or sweep.working_dim == flow
+
+    def test_tail_mass_of_a_small_basis_is_its_top_level(self):
+        # the top 10% of 4 levels rounds up to none; the band keeps level 3
+        rho = thermal_rho(0.5, 4)
+        sweep = oracle_sweep(rho, HamiltonianParams(), [0.0])
+        assert sweep.tail_mass == rho[3, 3].real > 0.0
 
 
 class TestConvergenceCheck:

@@ -190,17 +190,18 @@ class TestEigensolveCount:
             return eigh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        counts = []
+        runs = []
         for steps in (2, 500):
             sizes.clear()
             run(config_from("--nbar", "0.3", "--r", "0.4", "--alpha-mag", "0.8",
                             "--mode", mode, "--oracle-dim", "40", "--tau-max", "0.5",
                             "--steps", str(steps)))
-            counts.append(len(sizes))
-        # rho is built with no eigensolve and the sweep makes one Hamiltonian
-        # eigensolve; the doubling check repeats it at 2 * oracle_dim
-        expected = {"oracle": 1, "compare": 2}[mode]
-        assert counts == [expected, expected]
+            runs.append(list(sizes))
+        # rho is built with no eigensolve.  The sweep tries the 40-level basis,
+        # which leaks too much, then evolves at the flow size; the doubling
+        # check's 80-level basis passes on its own
+        expected = {"oracle": [40, 148], "compare": [40, 148, 80]}[mode]
+        assert runs == [expected, expected]
 
 
 class TestRunCompare:
@@ -319,6 +320,18 @@ class TestMainExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("g2tau: truncation failed:")
         assert named in lines[0] and "oracle_dim=" in lines[0]
+
+    @pytest.mark.parametrize("dim", ["4", "9"])
+    def test_tail_band_of_a_small_basis_is_not_empty(self, dim, capsys):
+        # the top 10% of fewer than 10 levels rounds up to none; the band keeps
+        # the top level, so the state's tail is seen and the sweep refused
+        code = main(["--r", "0.5", "--nbar", "0.5", "--alpha-mag", "0.5", "--oracle-dim", dim,
+                     "--mode", "oracle", "--steps", "2"])
+        assert code == EXIT_COMPARE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("g2tau: truncation failed: tail_mass=")
 
     def test_oracle_leakage_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(fock_oracle, "_evolution_dim", lambda *args: 70)
