@@ -13,7 +13,6 @@ from .gaussian_core import (
     from_polar,
     g2,
     heisenberg_flow,
-    mean_photon_of_tau,
 )
 from .param_map import (
     GenerationSpec,
@@ -38,6 +37,5 @@ __all__ = [
     "gaussian_rho",
     "hamiltonian_from_state",
     "heisenberg_flow",
-    "mean_photon_of_tau",
     "state_from_hamiltonian",
 ]

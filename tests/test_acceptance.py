@@ -42,9 +42,9 @@ from g2tau import (
     gaussian_rho,
     hamiltonian_from_state,
     heisenberg_flow,
-    mean_photon_of_tau,
     state_from_hamiltonian,
 )
+from g2tau.gaussian_core import mean_photon_of_tau
 from g2tau.fock_oracle import (
     displacement,
     heisenberg_a_matrix,

@@ -23,13 +23,13 @@ from g2tau import (
     g2,
     hamiltonian_from_state,
     heisenberg_flow,
-    mean_photon_of_tau,
 )
 from g2tau.gaussian_core import (
     A_of_tau,
     alpha_of_tau,
-    coherence_sample,
+    coherence_grid,
     mean_photon_initial,
+    mean_photon_of_tau,
     n_of_tau,
     r_of_tau,
     s_of_tau,
@@ -197,7 +197,7 @@ class TestG2:
     def test_vacuum_rejected(self):
         vacuum = GaussianStateParams(alpha=0j, xi=SqueezeParam(0.0, 0.0), nbar=0.0)
         with pytest.raises(UndefinedCoherenceError):
-            coherence_sample(vacuum, 0.1j, 0.2j, 0.5)
+            coherence_grid(vacuum, 0.1j, 0.2j, [0.5])
         p = couplings(vacuum, 1.0)
         with pytest.raises(UndefinedCoherenceError):
             g2(vacuum, p.b, p.c, 0.5)
@@ -209,7 +209,7 @@ class TestG2:
         state = GaussianStateParams(alpha=0j, xi=SqueezeParam(r, 0.0), nbar=nbar)
         p = couplings(state, 1.0)
         with pytest.raises(OverflowError, match="not finite"):
-            coherence_sample(state, p.b, p.c, tau)
+            coherence_grid(state, p.b, p.c, [tau])
 
     def test_overflowing_denominator_alone_keeps_the_ratio(self):
         # displaced thermal light with nbar = |alpha|² = x: g2(0) = 1 + 3x²/(2x)²;
@@ -245,20 +245,21 @@ class TestG2:
     def test_sample_fields_are_consistent(self):
         state = GaussianStateParams(alpha=0.5 + 0.5j, xi=SqueezeParam(0.4, 0.9), nbar=0.2)
         p = couplings(state, 1.3)
-        sample = coherence_sample(state, p.b, p.c, 0.8)
-        assert sample.tau == 0.8
-        assert sample.r_tau >= 0.0
-        assert sample.mean_n > 0.0
+        grid = coherence_grid(state, p.b, p.c, [0.8])
+        assert grid.tau[0] == 0.8
+        assert grid.r_tau[0] >= 0.0
+        assert grid.mean_n[0] > 0.0
         # the reported pieces reassemble into the reported g2; the flow's
         # phase factor equals the state's own e^{i theta} because the
         # couplings were recovered from the state
         mean0 = mean_photon_initial(state)
         phase = cmath.exp(1j * state.xi.theta)
-        coh = (state.alpha * sample.A_tau.conjugate()).real * 2
-        anom = (state.alpha * sample.A_tau * phase.conjugate()).real * 2
-        numerator = (sample.n_tau ** 2 + sample.s_tau ** 2
-                     + coh * sample.n_tau - anom * sample.s_tau)
-        np.testing.assert_allclose(sample.g2, 1.0 + numerator / (mean0 * sample.mean_n),
+        amp = complex(grid.A_tau[0])
+        n_tau, s_tau = float(grid.n_tau[0]), float(grid.s_tau[0])
+        coh = (state.alpha * amp.conjugate()).real * 2
+        anom = (state.alpha * amp * phase.conjugate()).real * 2
+        numerator = n_tau ** 2 + s_tau ** 2 + coh * n_tau - anom * s_tau
+        np.testing.assert_allclose(grid.g2[0], 1.0 + numerator / (mean0 * grid.mean_n[0]),
                                    rtol=1e-12)
 
     def test_depends_on_delay_only_through_flow_squeeze(self):

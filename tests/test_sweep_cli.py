@@ -129,32 +129,33 @@ class TestParseConfig:
         ["--alpha-mag", "2.8e149", "--r", "1", "--tau-max", "9"],  # grows by 34844
     ])
     def test_mean_stays_finite_at_the_bounds(self, argv):
-        rows = run_sweep(config_from(*argv, "--steps", "4"))
-        assert all(math.isfinite(row.mean_n) for row in rows)
+        grid = run_sweep(config_from(*argv, "--steps", "4"))
+        assert np.isfinite(grid.mean_n).all()
 
 
 class TestRunSweep:
     def test_grid_shape_and_uniformity(self):
         config = config_from("--nbar", "1", "--tau-max", "2", "--steps", "8")
-        rows = run_sweep(config)
-        assert len(rows) == 9
-        taus = [row.tau for row in rows]
+        taus = run_sweep(config).tau
+        assert len(taus) == 9
         np.testing.assert_allclose(taus, np.linspace(0.0, 2.0, 9), rtol=0, atol=1e-15)
         assert taus[0] == 0.0 and taus[-1] == 2.0
+        # the grid is tau_max * i / steps, which np.linspace does not always round to
+        assert taus.tolist() == [2.0 * i / 8 for i in range(9)]
 
     def test_thermal_sweep_is_flat_two(self):
-        rows = run_sweep(config_from("--nbar", "1", "--tau-max", "5", "--steps", "20"))
-        for row in rows:
-            np.testing.assert_allclose(row.g2, 2.0, rtol=0, atol=1e-12)
+        grid = run_sweep(config_from("--nbar", "1", "--tau-max", "5", "--steps", "20"))
+        assert len(grid.g2) == 21
+        np.testing.assert_allclose(grid.g2, 2.0, rtol=0, atol=1e-12)
 
     def test_coherent_sweep_is_flat_one(self):
-        rows = run_sweep(config_from("--alpha-mag", "1", "--steps", "10"))
-        for row in rows:
-            np.testing.assert_allclose(row.g2, 1.0, rtol=0, atol=1e-12)
+        grid = run_sweep(config_from("--alpha-mag", "1", "--steps", "10"))
+        assert len(grid.g2) == 11
+        np.testing.assert_allclose(grid.g2, 1.0, rtol=0, atol=1e-12)
 
     def test_squeezed_vacuum_zero_delay(self):
-        rows = run_sweep(config_from("--r", "0.8", "--steps", "4"))
-        np.testing.assert_allclose(rows[0].g2, 3.0 + 1.0 / math.sinh(0.8) ** 2,
+        grid = run_sweep(config_from("--r", "0.8", "--steps", "4"))
+        np.testing.assert_allclose(grid.g2[0], 3.0 + 1.0 / math.sinh(0.8) ** 2,
                                    rtol=0, atol=1e-12)
 
     def test_vacuum_raises(self):
@@ -166,17 +167,16 @@ class TestRunSweep:
                              "--mode", "oracle", "--oracle-dim", "80",
                              "--tau-max", "0.5", "--steps", "2")
         params = hamiltonian_from_state(GenerationSpec(state=config.state, t=1.0))
-        rows = run_sweep(config)
-        sweep = oracle_sweep(gaussian_rho(config.state, 80), params, [row.tau for row in rows])
-        for row, g2, mean_n in zip(rows, sweep.g2, sweep.mean_n):
-            assert row.g2 == g2
-            assert row.mean_n == mean_n
+        grid = run_sweep(config)
+        sweep = oracle_sweep(gaussian_rho(config.state, 80), params, grid.tau)
+        assert grid.g2.tolist() == sweep.g2.tolist()
+        assert grid.mean_n.tolist() == sweep.mean_n.tolist()
         # the sweep's shared working basis and one-point calls agree to roundoff
-        for row in rows:
-            one_point_g2 = g2_oracle(config.state, params, row.tau, 80)
-            one_point_mean = oracle_sweep(gaussian_rho(config.state, 80), params, [row.tau]).mean_n[0]
-            assert abs(row.g2 - one_point_g2) <= 1e-12 * abs(one_point_g2)
-            assert abs(row.mean_n - one_point_mean) <= 1e-12 * abs(one_point_mean)
+        for tau, g2, mean_n in zip(grid.tau, grid.g2, grid.mean_n):
+            one_point_g2 = g2_oracle(config.state, params, tau, 80)
+            one_point_mean = oracle_sweep(gaussian_rho(config.state, 80), params, [tau]).mean_n[0]
+            assert abs(g2 - one_point_g2) <= 1e-12 * abs(one_point_g2)
+            assert abs(mean_n - one_point_mean) <= 1e-12 * abs(one_point_mean)
 
 
 class TestEigensolveCount:
@@ -415,11 +415,12 @@ class TestOutput:
         assert main(config_argv) == EXIT_OK
         body = [line for line in capsys.readouterr().out.splitlines()
                 if not line.startswith("#")]
-        rows = run_sweep(parse_config(config_argv))
-        for line, row in zip(body[1:], rows):
+        grid = run_sweep(parse_config(config_argv))
+        columns = [grid.tau, grid.r_tau, grid.mean_n, grid.n_tau, grid.s_tau, grid.g2]
+        assert len(body) == 1 + len(grid.tau)
+        for line, row in zip(body[1:], zip(*columns)):
             fields = [float(x) for x in line.split(",")]
-            assert fields == [row.tau, row.r_tau, row.mean_n, row.n_tau,
-                              row.s_tau, row.g2]
+            assert fields == list(row)
 
     def test_compare_csv_has_oracle_columns(self, capsys):
         assert main(["--nbar", "0.4", "--mode", "compare", "--steps", "2",
