@@ -64,13 +64,10 @@ __all__ = [
     "TruncationError",
     "TruncationReport",
     "OracleSweep",
-    "ladder_operators",
     "displacement",
     "squeeze",
-    "thermal_rho",
     "gaussian_rho",
     "hamiltonian_matrix",
-    "heisenberg_a_matrix",
     "oracle_sweep",
     "g2_oracle",
     "convergence_check",
@@ -174,13 +171,6 @@ def _edge_start(n: int) -> int:
 def _require_dim(dim: int) -> None:
     if dim < 2:
         raise ValueError(f"truncation dimension must be >= 2, got {dim}")
-
-
-def ladder_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation matrices on the lowest `dim` number states."""
-    _require_dim(dim)
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-    return a, a.conj().T
 
 
 # Dense eigensystems above this size cost minutes, not seconds.  A basis that
@@ -315,11 +305,6 @@ def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def thermal_rho(nbar: float, dim: int) -> np.ndarray:
-    """Truncated-and-renormalized thermal density matrix with mean occupation nbar."""
-    return np.diag(_thermal_weights(nbar, dim)).astype(complex)
-
-
 def _support(populations: np.ndarray) -> int:
     """Smallest d whose levels d, d+1, ... hold less than _SUPPORT_TOL of `populations`."""
     suffix = np.cumsum(populations[::-1])[::-1]
@@ -378,39 +363,16 @@ def _delays(taus: Sequence[float]) -> np.ndarray:
 
 
 def _evolution_dim(params: HamiltonianParams, taus: np.ndarray, dim: int) -> int:
-    """Working dimension holding `dim` levels through the flow at every delay."""
-    return max(
-        _working_dim(dim, r_of_tau(params.c, tau), abs(alpha_of_tau(params.b, params.c, tau)))
-        for tau in taus
-    )
+    """Working dimension holding `dim` levels through the flow at every delay.
 
-
-def heisenberg_a_matrix(
-    params: HamiltonianParams, taus: Sequence[float], dim: int
-) -> np.ndarray:
-    """Evolved annihilation operators e^{iH tau} a e^{-iH tau} on the lowest `dim` states.
-
-    Returns one dim x dim matrix per delay of `taus`, stacked along the first
-    axis, from one eigendecomposition of H.  The conjugation runs in an
-    enlarged working space sized so the squeeze stretch and displacement of
-    the flow stay inside the basis at every delay, and the result is cropped
-    back to `dim`; without the headroom the top of the block would be
-    corrupted by truncation.
+    The flow is evaluated over the whole array of delays at once, bit for bit
+    as one delay at a time; _working_dim then sizes each delay in turn, so
+    the first delay above the cap is the one refused.
     """
-    taus = _delays(taus)
-    big = _evolution_dim(params, taus, dim)
-    w, v = np.linalg.eigh(hamiltonian_matrix(params, big))
-    v_h = v.conj().T
-    root = np.sqrt(np.arange(1.0, big))
-    out = np.empty((taus.size, dim, dim), dtype=complex)
-    for i, tau in enumerate(taus):
-        # Rows 0..dim of U = V e^{i tau w} V†; the crop of U a U† only needs them.
-        u_top = (v[:dim] * np.exp(1j * tau * w)) @ v_h
-        # u_top @ a: the annihilation matrix shifts columns and scales by sqrt(n).
-        ua = np.zeros_like(u_top)
-        ua[:, 1:] = u_top[:, :-1] * root
-        out[i] = ua @ u_top.conj().T
-    return out
+    with np.errstate(all="ignore"):  # a non-finite shift is refused by _working_dim
+        stretches = r_of_tau(params.c, taus).tolist()
+        shifts = alpha_of_tau(params.b, params.c, taus).tolist()
+    return max(_working_dim(dim, r, abs(s)) for r, s in zip(stretches, shifts))
 
 
 def _real_trace(values: np.ndarray, what: str) -> np.ndarray:

@@ -48,7 +48,6 @@ __all__ = [
     "heisenberg_flow",
     "A_of_tau",
     "mean_photon_initial",
-    "mean_photon_of_tau",
     "n_of_tau",
     "s_of_tau",
     "g2",
@@ -275,15 +274,6 @@ def _mean_photon(state: GaussianStateParams, rt, amp):
 def mean_photon_initial(state: GaussianStateParams) -> float:
     """Mean photon number of the state itself: (nbar + 1/2) cosh(2r) - 1/2 + |alpha|^2."""
     return _mean_photon(state, 0.0, state.alpha)
-
-
-def mean_photon_of_tau(state: GaussianStateParams, b: complex, c: complex, tau):
-    """Mean photon number after delay tau.
-
-    (nbar + 1/2) cosh(2(r + r(tau))) - 1/2 + |A(tau)|^2.  At tau = 0 this
-    follows the same floating-point path as :func:`mean_photon_initial`.
-    """
-    return _mean_photon(state, r_of_tau(c, tau), A_of_tau(state, b, c, tau))
 
 
 def n_of_tau(nbar: float, r: float, r_tau):

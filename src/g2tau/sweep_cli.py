@@ -14,11 +14,13 @@ Usage examples:
     g2tau --config run.json --format json --output curve.json
 
 Exit status: 0 success; 1 usage error (including a state whose closed-form
-g2 overflows double precision); 2 undefined coherence (vacuum state);
-3 comparison or truncation failure (compare: worst relative error above 1e-4
-or oracle not converged; oracle: more than 1e-4 of rho in its top 10% levels,
-or more than 1e-8 of the evolved state in the top 10% of the working basis;
-both: a working basis above the oracle's cap of 3072 levels).
+g2 overflows double precision, and an --output that cannot be opened for
+writing, which leaves no file and an empty stdout); 2 undefined coherence
+(vacuum state); 3 comparison or truncation failure (compare: worst relative
+error above 1e-4 or oracle not converged; oracle: more than 1e-4 of rho in
+its top 10% levels, or more than 1e-8 of the evolved state in the top 10% of
+the working basis; both: a working basis above the oracle's cap of 3072
+levels).
 """
 
 from __future__ import annotations
@@ -66,8 +68,6 @@ __all__ = [
     "RunConfig",
     "CompareReport",
     "parse_config",
-    "run_sweep",
-    "run_compare",
     "main",
     "cli",
 ]
@@ -349,16 +349,6 @@ def _oracle_columns(grid: CoherenceGrid, sweep: OracleSweep) -> tuple[np.ndarray
     return reference, np.abs(grid.g2 - reference)
 
 
-def run_sweep(config: RunConfig) -> CoherenceGrid:
-    """The sweep's columns: closed form, or in oracle mode with the oracle's mean_n and g2."""
-    return _evaluate(config)[1]
-
-
-def run_compare(config: RunConfig) -> CompareReport:
-    """Closed form against oracle at every delay of the sweep."""
-    return _evaluate(replace(config, mode="compare"))[3]
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -480,7 +470,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if config.output_path is None:
         _emit(sys.stdout, config, params, grid, sweep, report)
     else:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as out:
+        try:
+            out = open(config.output_path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            print(f"g2tau: error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        with out:
             _emit(out, config, params, grid, sweep, report)
 
     if report is not None and (

@@ -44,15 +44,11 @@ from g2tau import (
     heisenberg_flow,
     state_from_hamiltonian,
 )
-from g2tau.gaussian_core import mean_photon_of_tau
-from g2tau.fock_oracle import (
-    displacement,
-    heisenberg_a_matrix,
-    ladder_operators,
-    oracle_sweep,
-    squeeze,
-)
+from g2tau.gaussian_core import coherence_grid
+from g2tau.fock_oracle import displacement, oracle_sweep, squeeze
 from g2tau.sweep_cli import EXIT_COMPARE, EXIT_OK, EXIT_UNDEFINED, EXIT_USAGE, main
+
+from fock_reference import heisenberg_a_matrix, ladder_operators
 
 # --- the evaluation grid -----------------------------------------------------
 
@@ -170,7 +166,7 @@ def grid_results():
             if tail > worst[3]:
                 worst = (state, params, tau, tail)
             g2_closed = g2(state, params.b, params.c, tau)
-            mean_closed = mean_photon_of_tau(state, params.b, params.c, tau)
+            mean_closed = coherence_grid(state, params.b, params.c, [tau]).mean_n[0]
             points.append(
                 GridPoint(
                     state=state,

@@ -1,5 +1,7 @@
 """Brute-force Fock-space layer: ladder matrices, state construction,
 Hamiltonian evolution by explicit matrix exponential, and trace formulas.
+The ladder matrices, the hand-built thermal rho and the evolved annihilation
+operator come from the test reference `fock_reference.py`.
 
 These tests pin the oracle against textbook values computed independently
 (hyperbolic identities, geometric sums, known overlaps) so the oracle can in
@@ -34,12 +36,12 @@ from g2tau.fock_oracle import (
     _working_dim,
     displacement,
     hamiltonian_matrix,
-    heisenberg_a_matrix,
-    ladder_operators,
     oracle_sweep,
     squeeze,
-    thermal_rho,
 )
+from g2tau.gaussian_core import PAIR_COUPLING_EPS, alpha_of_tau, r_of_tau
+
+from fock_reference import heisenberg_a_matrix, ladder_operators, thermal_rho
 
 
 def op_norm(m):
@@ -557,6 +559,51 @@ class TestSweepSizing:
         sweep = oracle_sweep(rho, params, taus)
         assert sweep.working_dim in (dim, flow)
         assert sweep.leakage <= LEAKAGE_TOL or sweep.working_dim == flow
+
+    @staticmethod
+    def _per_delay_evolution_dim(params, taus, dim):
+        """The flow size with the flow evaluated one delay at a time."""
+        return max(
+            _working_dim(dim, r_of_tau(params.c, tau), abs(alpha_of_tau(params.b, params.c, tau)))
+            for tau in taus
+        )
+
+    def _assert_sized_as_per_delay(self, params, taus, dim):
+        """_evolution_dim gives the per-delay size, or refuses with the same message."""
+        try:
+            expected = self._per_delay_evolution_dim(params, taus, dim)
+        except TruncationError as refusal:
+            with pytest.raises(TruncationError) as raised:
+                fock_oracle._evolution_dim(params, taus, dim)
+            assert str(raised.value) == str(refusal)
+            return None
+        assert fock_oracle._evolution_dim(params, taus, dim) == expected
+        return expected
+
+    @pytest.mark.parametrize("b, c, tau_max, dim, sized", [
+        (0.3 - 0.2j, from_polar(0.4, 1.1), 1.0, 120, True),
+        (1.0 + 0.5j, 0.5 * PAIR_COUPLING_EPS + 0j, 2.0, 60, True),  # the series shift
+        (0.7j, 0j, 1.5, 40, True),
+        (0.2 + 0j, from_polar(0.3, 0.2), 12.0, 120, False),  # refused at the cap
+        (50.0 + 0j, 1e-12j, 1.0, 120, False),  # refused on the shift alone
+    ])
+    def test_evolution_dim_is_the_per_delay_max(self, b, c, tau_max, dim, sized):
+        size = self._assert_sized_as_per_delay(HamiltonianParams(b, c),
+                                               np.linspace(0.0, tau_max, 501), dim)
+        assert (size is not None) == sized  # the case is not vacuous
+
+    @given(st.floats(min_value=0.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=PAIR_COUPLING_EPS),
+                     st.floats(min_value=0.0, max_value=1.0)),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.floats(min_value=0.0, max_value=5.0),
+           st.integers(min_value=2, max_value=200))
+    @settings(max_examples=50, deadline=None)
+    def test_evolution_dim_matches_per_delay_on_random_flows(self, bmag, bphase, cmag, cphase,
+                                                             tau_max, dim):
+        params = HamiltonianParams(from_polar(bmag, bphase), from_polar(cmag, cphase))
+        self._assert_sized_as_per_delay(params, np.linspace(0.0, tau_max, 51), dim)
 
     def test_tail_mass_of_a_small_basis_is_its_top_level(self):
         # the top 10% of 4 levels rounds up to none; the band keeps level 3

@@ -29,7 +29,6 @@ from g2tau.gaussian_core import (
     alpha_of_tau,
     coherence_grid,
     mean_photon_initial,
-    mean_photon_of_tau,
     n_of_tau,
     r_of_tau,
     s_of_tau,
@@ -166,7 +165,7 @@ class TestMoments:
 
     def test_mean_photon_of_tau_zero_delay_bit_equal(self):
         state = GaussianStateParams(alpha=0.9 + 0.1j, xi=SqueezeParam(0.4, 1.1), nbar=0.6)
-        assert mean_photon_of_tau(state, 0.3 - 0.2j, 0.2 + 0.1j, 0.0) == \
+        assert coherence_grid(state, 0.3 - 0.2j, 0.2 + 0.1j, [0.0]).mean_n[0] == \
             mean_photon_initial(state)
 
     def test_correlators_against_direct_formula(self):

@@ -27,10 +27,9 @@ from g2tau.sweep_cli import (
     MAX_COSH_ARG,
     MAX_STEPS,
     UsageError,
+    _evaluate,
     main,
     parse_config,
-    run_compare,
-    run_sweep,
 )
 
 
@@ -129,14 +128,14 @@ class TestParseConfig:
         ["--alpha-mag", "2.8e149", "--r", "1", "--tau-max", "9"],  # grows by 34844
     ])
     def test_mean_stays_finite_at_the_bounds(self, argv):
-        grid = run_sweep(config_from(*argv, "--steps", "4"))
+        grid = _evaluate(config_from(*argv, "--steps", "4"))[1]
         assert np.isfinite(grid.mean_n).all()
 
 
 class TestRunSweep:
     def test_grid_shape_and_uniformity(self):
         config = config_from("--nbar", "1", "--tau-max", "2", "--steps", "8")
-        taus = run_sweep(config).tau
+        taus = _evaluate(config)[1].tau
         assert len(taus) == 9
         np.testing.assert_allclose(taus, np.linspace(0.0, 2.0, 9), rtol=0, atol=1e-15)
         assert taus[0] == 0.0 and taus[-1] == 2.0
@@ -144,30 +143,30 @@ class TestRunSweep:
         assert taus.tolist() == [2.0 * i / 8 for i in range(9)]
 
     def test_thermal_sweep_is_flat_two(self):
-        grid = run_sweep(config_from("--nbar", "1", "--tau-max", "5", "--steps", "20"))
+        grid = _evaluate(config_from("--nbar", "1", "--tau-max", "5", "--steps", "20"))[1]
         assert len(grid.g2) == 21
         np.testing.assert_allclose(grid.g2, 2.0, rtol=0, atol=1e-12)
 
     def test_coherent_sweep_is_flat_one(self):
-        grid = run_sweep(config_from("--alpha-mag", "1", "--steps", "10"))
+        grid = _evaluate(config_from("--alpha-mag", "1", "--steps", "10"))[1]
         assert len(grid.g2) == 11
         np.testing.assert_allclose(grid.g2, 1.0, rtol=0, atol=1e-12)
 
     def test_squeezed_vacuum_zero_delay(self):
-        grid = run_sweep(config_from("--r", "0.8", "--steps", "4"))
+        grid = _evaluate(config_from("--r", "0.8", "--steps", "4"))[1]
         np.testing.assert_allclose(grid.g2[0], 3.0 + 1.0 / math.sinh(0.8) ** 2,
                                    rtol=0, atol=1e-12)
 
     def test_vacuum_raises(self):
         with pytest.raises(UndefinedCoherenceError):
-            run_sweep(config_from())
+            _evaluate(config_from())
 
     def test_oracle_mode_rows_match_direct_oracle_calls(self):
         config = config_from("--nbar", "0.3", "--r", "0.4", "--alpha-mag", "0.8",
                              "--mode", "oracle", "--oracle-dim", "80",
                              "--tau-max", "0.5", "--steps", "2")
         params = hamiltonian_from_state(GenerationSpec(state=config.state, t=1.0))
-        grid = run_sweep(config)
+        grid = _evaluate(config)[1]
         sweep = oracle_sweep(gaussian_rho(config.state, 80), params, grid.tau)
         assert grid.g2.tolist() == sweep.g2.tolist()
         assert grid.mean_n.tolist() == sweep.mean_n.tolist()
@@ -180,8 +179,8 @@ class TestRunSweep:
 
 
 class TestEigensolveCount:
-    @pytest.mark.parametrize("mode, run", [("oracle", run_sweep), ("compare", run_compare)])
-    def test_eigensolves_do_not_grow_with_delays(self, mode, run, monkeypatch):
+    @pytest.mark.parametrize("mode", ["oracle", "compare"])
+    def test_eigensolves_do_not_grow_with_delays(self, mode, monkeypatch):
         eigh = np.linalg.eigh
         sizes = []
 
@@ -193,9 +192,9 @@ class TestEigensolveCount:
         runs = []
         for steps in (2, 500):
             sizes.clear()
-            run(config_from("--nbar", "0.3", "--r", "0.4", "--alpha-mag", "0.8",
-                            "--mode", mode, "--oracle-dim", "40", "--tau-max", "0.5",
-                            "--steps", str(steps)))
+            _evaluate(config_from("--nbar", "0.3", "--r", "0.4", "--alpha-mag", "0.8",
+                                  "--mode", mode, "--oracle-dim", "40", "--tau-max", "0.5",
+                                  "--steps", str(steps)))
             runs.append(list(sizes))
         # rho is built with no eigensolve.  The sweep tries the 40-level basis,
         # which leaks too much, then evolves at the flow size; the doubling
@@ -208,7 +207,7 @@ class TestRunCompare:
     def test_thermal_light_agrees_everywhere(self):
         config = config_from("--nbar", "1", "--mode", "compare", "--steps", "4",
                              "--tau-max", "0.5")
-        report = run_compare(config)
+        report = _evaluate(config)[3]
         assert report.max_abs_err < 1e-6
         assert report.convergence.converged
 
@@ -216,7 +215,7 @@ class TestRunCompare:
         config = config_from("--nbar", "0.5", "--r", "0.5", "--alpha-mag", "1",
                              "--alpha-phase", "0.7", "--theta", "1.3",
                              "--mode", "compare", "--steps", "4", "--tau-max", "1")
-        report = run_compare(config)
+        report = _evaluate(config)[3]
         assert report.max_rel_err < 1e-5
         assert report.convergence.converged
 
@@ -225,7 +224,7 @@ class TestRunCompare:
         config = config_from("--r", "2.5", "--mode", "compare", "--oracle-dim", "40",
                              "--steps", "2", "--tau-max", "0.1")
         with pytest.raises(TruncationError, match="cap of 3072"):
-            run_compare(config)
+            _evaluate(config)
 
 
 class TestMainExitCodes:
@@ -415,7 +414,7 @@ class TestOutput:
         assert main(config_argv) == EXIT_OK
         body = [line for line in capsys.readouterr().out.splitlines()
                 if not line.startswith("#")]
-        grid = run_sweep(parse_config(config_argv))
+        grid = _evaluate(parse_config(config_argv))[1]
         columns = [grid.tau, grid.r_tau, grid.mean_n, grid.n_tau, grid.s_tau, grid.g2]
         assert len(body) == 1 + len(grid.tau)
         for line, row in zip(body[1:], zip(*columns)):
@@ -506,6 +505,27 @@ class TestOutput:
         assert main(["--nbar", "1", "--steps", "2", "--output", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == ""
         assert path.read_text().startswith("# g2(tau) sweep")
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory", "empty-flag",
+                                       "empty-config"])
+    def test_unwritable_output_is_a_usage_error(self, where, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # where an empty path would land, if it were opened
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"output": ""}))
+        argv = {
+            "missing-directory": ["--output", str(tmp_path / "missing" / "x.csv")],
+            "directory": ["--output", str(tmp_path)],
+            "empty-flag": ["--output", ""],
+            "empty-config": ["--config", str(config)],
+        }[where]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--nbar", "1", "--steps", "2", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("g2tau: error: cannot write output: ")
+        assert "Traceback" not in captured.err
+        assert sorted(tmp_path.rglob("*")) == before  # no output file is left behind
 
 
 @pytest.mark.parametrize("mode", ["closed_form", "oracle", "compare"])
