@@ -19,14 +19,17 @@ by a stable recurrence), and the squeeze from its exact matrix elements
 makes no eigensolve; only the columns of S that the thermal weights keep
 are built.  Every working basis is sized from the exact stretch and shift
 it must hold, and one that would exceed _WORKING_DIM_CAP raises
-TruncationError.
+TruncationError when it is about to be built.
 
 A delay sweep (:func:`oracle_sweep`) evolves rho in one working basis of N
 states at a time.  It first tries N = dim, the levels rho lives on, and
-keeps that result when its measured leakage (below) is at most LEAKAGE_TOL;
-otherwise it evolves once more in a basis sized from the levels rho
-occupies and the largest flow stretch and shift over its delays, which is
-also the most it ever uses.  In each basis one eigendecomposition
+keeps that result when its measured leakage (below) is at most LEAKAGE_TOL.
+Only when that basis leaks does it evaluate the closed-form flow, once, and
+size two larger bases from it: a tight one holding rho's levels down to a
+suffix population of _TIGHT_SUPPORT_TOL with one vacuum width of margin,
+then the flow size holding them down to _SUPPORT_TOL with four, the most it
+ever uses.  It keeps the first of them that leaks at most LEAKAGE_TOL, or
+else the flow size.  In each basis one eigendecomposition
 H = V diag(w) V† serves every delay: with the phases Phi = exp(i tau w), n
 the number operator on the working basis and V_edge the rows of V for its
 top 10% levels,
@@ -80,8 +83,9 @@ _IMAG_TOL = 1e-8
 # its scratch is O(_BLOCK * N) however many delays a sweep has.
 _BLOCK = 64
 
-# oracle_sweep's evolution basis holds the levels of rho down to a suffix
-# population below this.
+# oracle_sweep's flow-size basis, its last resort, holds the levels of rho
+# down to a suffix population below this; gaussian_rho keeps the thermal
+# levels down to it.
 _SUPPORT_TOL = 1e-17
 
 # Largest trusted leakage (see OracleSweep).  Measured with the evolution
@@ -96,6 +100,26 @@ _SUPPORT_TOL = 1e-17
 # 1e-16.  oracle_sweep also keeps its dim-level basis only when that basis
 # leaks at most this, so the basis it settles on is held to the same bound.
 LEAKAGE_TOL = 1e-8
+
+# oracle_sweep's tight basis holds the levels of rho down to a suffix
+# population below this, with one vacuum width of margin.  The population it
+# leaves out can at most all reach the basis edge, so it spends 1/100 of the
+# LEAKAGE_TOL budget and leaves the rest to the Gaussian edge of the levels
+# it holds.  Measured on states of the benchmark hull (r <= 0.8,
+# |alpha| <= 1.5, nbar <= 1, tau <= 1) whose 120- or 240-level basis leaked,
+# as tight size / flow size and leakage at the tight size:
+#   38 sweeps, rho well inside dim:  0.43-0.76, leakage 1.5e-12 to 1.7e-10
+#   23 sweeps, rho filling dim with 4e-9 to 1.4e-7 in its top 10%:  0.79-0.81, 2.2e-12 to 4.8e-9
+#     (one of them leaks 4.3e-8 with no margin)
+#   2 sweeps, rho filling dim with 2.6e-7 in its top 10%:  0.81, 9.9e-9 and 1.1e-8
+# and beyond them, with more in rho's top 10%:
+#   hull corner, nbar 1, r 0.8, theta pi, |alpha| 1.5, top 10% 1.5e-6:  0.81, 1.0e-7
+#   squeezed vacuum r 1.5, tau <= 1, top 10% 2.6e-6:  0.89, 9.0e-7
+#   README config example, tau <= 2, rho inside dim:  1940 of 3479 levels, 1.5e-10
+# So the tight size holds the evolution unless rho's top levels hold more
+# than about 1e-7, and those states are left to the flow size, which leaks
+# 1e-16 at the hull corner.
+_TIGHT_SUPPORT_TOL = LEAKAGE_TOL / 100
 
 
 class TruncationError(Exception):
@@ -134,9 +158,10 @@ class OracleSweep:
     its rounding error is bounded by floor = N eps sum_jk |Mr_jk| (eps the
     double-precision machine epsilon, N the working dimension).  tail_mass
     is the population of the top 10% of rho's dim-state basis.  working_dim
-    is the N the sweep kept (dim, or the flow size when dim leaked too much),
-    and leakage is the largest population, over the delays, that the evolved
-    state rho(tau) puts in the top 10% of the N working levels.
+    is the N the sweep kept: dim, or when dim leaked too much the tight
+    size, or when that leaked too the flow size (see oracle_sweep).  leakage
+    is the largest population, over the delays, that the evolved state
+    rho(tau) puts in the top 10% of the N working levels.
     """
 
     mean_0: float
@@ -178,20 +203,20 @@ def _require_dim(dim: int) -> None:
 _WORKING_DIM_CAP = 3072
 
 
-def _working_dim(dim: int, stretch_r: float, shift_mag: float) -> int:
+def _working_dim(dim: int, stretch_r: float, shift_mag: float, margin: float = 4.0) -> int:
     """Fock dimension needed to hold `dim` levels through a stretch and a shift.
 
     A squeeze stretches the occupied phase-space radius (~sqrt(dim)) by
     e^{stretch_r} and a displacement shifts it, so the lowest-dim block of
     the squeezed-and-displaced object draws on roughly
-    (sqrt(dim) e^{stretch_r} + |shift| + 4)² number states; the 4 vacuum
-    widths of margin absorb the Gaussian edges.  Raises TruncationError when
-    that exceeds _WORKING_DIM_CAP.
+    (sqrt(dim) e^{stretch_r} + |shift| + margin)² number states; the margin,
+    in vacuum widths, absorbs the Gaussian edges.  Raises TruncationError
+    when that exceeds _WORKING_DIM_CAP.
     """
     # A stretch past the cap's logarithm needs more than the cap at any dim,
     # so bounding it there only keeps exp finite.
     stretch = math.exp(min(stretch_r, math.log(_WORKING_DIM_CAP)))
-    radius = math.sqrt(dim) * stretch + 4.0 + shift_mag
+    radius = math.sqrt(dim) * stretch + margin + shift_mag
     needed = radius * radius
     if needed > _WORKING_DIM_CAP:
         shown = math.ceil(needed) if math.isfinite(needed) else needed
@@ -305,10 +330,10 @@ def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _support(populations: np.ndarray) -> int:
-    """Smallest d whose levels d, d+1, ... hold less than _SUPPORT_TOL of `populations`."""
+def _support(populations: np.ndarray, tol: float = _SUPPORT_TOL) -> int:
+    """Smallest d whose levels d, d+1, ... hold less than `tol` of `populations`."""
     suffix = np.cumsum(populations[::-1])[::-1]
-    below = np.flatnonzero(suffix < _SUPPORT_TOL)
+    below = np.flatnonzero(suffix < tol)
     return int(below[0]) if below.size else populations.size
 
 
@@ -362,17 +387,31 @@ def _delays(taus: Sequence[float]) -> np.ndarray:
     return taus
 
 
-def _evolution_dim(params: HamiltonianParams, taus: np.ndarray, dim: int) -> int:
-    """Working dimension holding `dim` levels through the flow at every delay.
+def _flow(params: HamiltonianParams, taus: np.ndarray) -> tuple[list[float], list[complex]]:
+    """The closed-form flow's stretch r(tau) and shift alpha(tau) at every delay.
 
-    The flow is evaluated over the whole array of delays at once, bit for bit
-    as one delay at a time; _working_dim then sizes each delay in turn, so
-    the first delay above the cap is the one refused.
+    Evaluated over the whole array of delays at once, bit for bit as one
+    delay at a time.
     """
     with np.errstate(all="ignore"):  # a non-finite shift is refused by _working_dim
-        stretches = r_of_tau(params.c, taus).tolist()
-        shifts = alpha_of_tau(params.b, params.c, taus).tolist()
-    return max(_working_dim(dim, r, abs(s)) for r, s in zip(stretches, shifts))
+        return r_of_tau(params.c, taus).tolist(), alpha_of_tau(params.b, params.c, taus).tolist()
+
+
+def _evolution_dim(
+    params: HamiltonianParams,
+    taus: np.ndarray,
+    dim: int,
+    margin: float = 4.0,
+    flow: tuple[list[float], list[complex]] | None = None,
+) -> int:
+    """Working dimension holding `dim` levels through the flow at every delay.
+
+    flow is _flow(params, taus), evaluated here unless the caller holds it;
+    _working_dim then sizes each delay in turn with `margin` vacuum widths,
+    so the first delay above the cap is the one refused.
+    """
+    stretches, shifts = _flow(params, taus) if flow is None else flow
+    return max(_working_dim(dim, r, abs(s), margin) for r, s in zip(stretches, shifts))
 
 
 def _real_trace(values: np.ndarray, what: str) -> np.ndarray:
@@ -436,22 +475,32 @@ def oracle_sweep(
 
     rho lives on the lowest dim = rho.shape[0] number states, and n(tau) =
     e^{iH tau} n e^{-iH tau} acts on one working basis for the whole sweep.
-    The flow size comes first: never below dim, and large enough to hold
-    rho's support (its levels down to a suffix population of _SUPPORT_TOL)
-    through the flow's stretch and shift at every delay; above
-    _WORKING_DIM_CAP it raises TruncationError before any eigensolve.  The
-    sweep then runs in the dim-level basis and is kept if its leakage is at
-    most LEAKAGE_TOL; otherwise it runs once more at the flow size.  So the
-    Hamiltonian is diagonalized once, or twice when the dim basis leaks.
+    The sweep first runs in the dim-level basis and keeps it if its leakage
+    is at most LEAKAGE_TOL.  Otherwise it evaluates the flow once and tries
+    up to two larger bases, each holding a support of rho (its levels down
+    to a suffix population) through the flow's stretch and shift at every
+    delay: the tight size, rho's support at _TIGHT_SUPPORT_TOL with one
+    vacuum width of margin, and then the flow size, its support at
+    _SUPPORT_TOL with four.  It keeps the first whose leakage is at most
+    LEAKAGE_TOL, or else the flow size, and skips a size no larger than the
+    last one run.  A size above _WORKING_DIM_CAP raises TruncationError just
+    before it would run.  So the Hamiltonian is diagonalized once when the
+    dim basis holds the evolution, and at most three times.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
         raise ValueError(f"rho must be a square matrix of size >= 2, got shape {rho.shape}")
     taus = _delays(taus)
-    dim = rho.shape[0]
-    flow_dim = max(dim, _evolution_dim(params, taus, _support(rho.diagonal().real)))
-    sweep = _sweep_in(rho, params, taus, dim)
-    if flow_dim > dim and sweep.leakage > LEAKAGE_TOL:
-        sweep = _sweep_in(rho, params, taus, flow_dim)
+    sweep = _sweep_in(rho, params, taus, rho.shape[0])
+    if sweep.leakage <= LEAKAGE_TOL:
+        return sweep
+    populations = rho.diagonal().real
+    flow = _flow(params, taus)
+    for support_tol, margin in ((_TIGHT_SUPPORT_TOL, 1.0), (_SUPPORT_TOL, 4.0)):
+        size = _evolution_dim(params, taus, _support(populations, support_tol), margin, flow)
+        if size > sweep.working_dim:
+            sweep = _sweep_in(rho, params, taus, size)
+            if sweep.leakage <= LEAKAGE_TOL:
+                break
     return sweep
 
 

@@ -39,7 +39,7 @@ from g2tau.fock_oracle import (
     oracle_sweep,
     squeeze,
 )
-from g2tau.gaussian_core import PAIR_COUPLING_EPS, alpha_of_tau, r_of_tau
+from g2tau.gaussian_core import PAIR_COUPLING_EPS, alpha_of_tau, coherence_grid, r_of_tau
 
 from fock_reference import heisenberg_a_matrix, ladder_operators, thermal_rho
 
@@ -483,28 +483,54 @@ class TestSweepSizing:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         return oracle_sweep(rho, params, taus), sizes
 
+    @staticmethod
+    def _fallback_sizes(rho, params, taus):
+        """The tight and flow sizes, from the rule written out one delay at a time.
+
+        Each holds rho's support, the levels down to a suffix population of
+        1e-10 (tight) or 1e-17 (flow), through the flow's stretch and shift,
+        with 1 or 4 vacuum widths of margin, and is never below dim.
+        """
+        dim = rho.shape[0]
+        populations = rho.diagonal().real
+        sizes = []
+        for tol, margin in ((1e-10, 1.0), (1e-17, 4.0)):
+            support = next((d for d in range(1, dim + 1) if populations[d:].sum() < tol), dim)
+            sizes.append(max(dim, *(
+                math.ceil((math.sqrt(support) * math.exp(r_of_tau(params.c, tau)) + margin
+                           + abs(heisenberg_flow(params.b, params.c, tau).shift)) ** 2)
+                for tau in taus)))
+        return sizes
+
     def test_hull_corner_falls_back_to_the_flow_size(self, monkeypatch):
-        # rho fills all 120 levels, so the 120-level basis leaks and the sweep
-        # evolves once more in the basis that holds rho's support through the
-        # flow; 928 is what the rule with r steps of 0.4, shift steps of 2 and
-        # sqrt(dim) gave this sweep
+        # rho fills all 120 levels and its top band holds 1.5e-6, so its
+        # support is all 120 levels at either tolerance: the 120-level basis
+        # leaks, the tight basis, with one vacuum width of margin, leaks 1e-7,
+        # and the sweep evolves once more at the flow size
         nbar, r, theta, alpha = 1.0, 0.8, math.pi, 1.5
         state = GaussianStateParams(alpha=alpha + 0j, xi=SqueezeParam(r, theta), nbar=nbar)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 120, [0.0, 0.5, 1.0]
         rho = gaussian_rho(state, dim)
-        populations = rho.diagonal().real
-        support = next((d for d in range(1, dim + 1) if populations[d:].sum() < 1e-17), dim)
-        expected = max(
-            dim,
-            *(math.ceil((math.sqrt(support) * math.exp(r * tau) + 4.0
-                         + abs(heisenberg_flow(params.b, params.c, tau).shift)) ** 2)
-              for tau in taus),
-        )
+        tight, flow = self._fallback_sizes(rho, params, taus)
         sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
-        assert sizes == [dim, expected] and expected < 928
-        assert sweep.working_dim == expected
+        assert sizes == [dim, tight, flow] and dim < tight < flow
+        assert sweep.working_dim == flow
         assert abs(sweep.leakage) < 1e-15
+
+    def test_state_inside_dim_falls_back_to_the_tight_size(self, monkeypatch):
+        # rho's levels above a suffix of 1e-10 are its lowest 56 of 120, so
+        # the tight basis holds the evolution well below the flow size
+        state = GaussianStateParams(alpha=0.8 + 0j, xi=SqueezeParam(0.6, 0.0), nbar=0.3)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        dim, taus = 120, [0.0, 0.5, 1.0]
+        rho = gaussian_rho(state, dim)
+        tight, flow = self._fallback_sizes(rho, params, taus)
+        sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
+        assert sizes == [dim, tight] and 2 * tight < flow
+        assert sweep.working_dim == tight and sweep.leakage <= LEAKAGE_TOL
+        reference = coherence_grid(state, params.b, params.c, taus).g2
+        np.testing.assert_allclose(sweep.g2, reference, rtol=10 * LEAKAGE_TOL, atol=0)
 
     def test_contained_state_stays_in_the_dim_basis(self, monkeypatch):
         state = GaussianStateParams(alpha=0.5 + 0j, xi=SqueezeParam(0.3, 0.0), nbar=0.2)
@@ -513,6 +539,18 @@ class TestSweepSizing:
                                            [0.0, 0.5, 1.0])
         assert sizes == [120]
         assert sweep.working_dim == 120 and sweep.leakage <= LEAKAGE_TOL
+
+    def test_contained_state_never_evaluates_the_flow(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("the flow was evaluated")
+
+        state = GaussianStateParams(alpha=0.5 + 0j, xi=SqueezeParam(0.3, 0.0), nbar=0.2)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        rho = gaussian_rho(state, 120)
+        monkeypatch.setattr(fock_oracle, "r_of_tau", unused)
+        monkeypatch.setattr(fock_oracle, "alpha_of_tau", unused)
+        sweep, sizes = self._counted_sweep(monkeypatch, rho, params, np.linspace(0.0, 1.0, 11))
+        assert sizes == [120] and sweep.working_dim == 120
 
     def test_flow_size_within_dim_makes_one_eigensolve(self, monkeypatch):
         state = GaussianStateParams(alpha=0.2 + 0j, xi=SqueezeParam(0.1, 0.0), nbar=0.05)
@@ -554,11 +592,31 @@ class TestSweepSizing:
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 40, np.linspace(0.0, tau, 5)
         rho = gaussian_rho(state, dim)
-        flow = max(dim, fock_oracle._evolution_dim(params, taus,
-                                                   fock_oracle._support(rho.diagonal().real)))
+        tight, flow = self._fallback_sizes(rho, params, taus)
         sweep = oracle_sweep(rho, params, taus)
-        assert sweep.working_dim in (dim, flow)
+        assert sweep.working_dim in (dim, tight, flow)
         assert sweep.leakage <= LEAKAGE_TOL or sweep.working_dim == flow
+
+    @given(st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=0.5),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.floats(min_value=0.0, max_value=1.5),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=20, deadline=None)
+    def test_kept_basis_is_the_first_that_passes(self, nbar, r, theta, amag, phi, tau):
+        # each of dim, tight and flow is evolved on its own; the sweep keeps the
+        # first whose leakage is at most LEAKAGE_TOL, or else the flow size
+        state = GaussianStateParams(alpha=from_polar(amag, phi), xi=SqueezeParam(r, theta),
+                                    nbar=nbar)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        dim, taus = 40, np.linspace(0.0, tau, 5)
+        rho = gaussian_rho(state, dim)
+        candidates = [dim, *self._fallback_sizes(rho, params, taus)]
+        expected = next((n for n in candidates
+                         if fock_oracle._sweep_in(rho, params, taus, n).leakage <= LEAKAGE_TOL),
+                        candidates[-1])
+        assert oracle_sweep(rho, params, taus).working_dim == expected
 
     @staticmethod
     def _per_delay_evolution_dim(params, taus, dim):

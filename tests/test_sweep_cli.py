@@ -16,7 +16,7 @@ import pytest
 
 from g2tau import HamiltonianParams, UndefinedCoherenceError, g2_oracle
 from g2tau import fock_oracle, gaussian_rho, sweep_cli
-from g2tau.fock_oracle import LEAKAGE_TOL, TruncationError, oracle_sweep
+from g2tau.fock_oracle import _WORKING_DIM_CAP, LEAKAGE_TOL, TruncationError, oracle_sweep
 from g2tau.param_map import GenerationSpec, hamiltonian_from_state
 from g2tau.sweep_cli import (
     EXIT_COMPARE,
@@ -197,9 +197,12 @@ class TestEigensolveCount:
                                   "--steps", str(steps)))
             runs.append(list(sizes))
         # rho is built with no eigensolve.  The sweep tries the 40-level basis,
-        # which leaks too much, then evolves at the flow size; the doubling
-        # check's 80-level basis passes on its own
-        expected = {"oracle": [40, 148], "compare": [40, 148, 80]}[mode]
+        # which leaks too much, then evolves at the tight size, which holds it:
+        # rho's 37 levels above a suffix of 1e-10 through r(0.5) = 0.2 and
+        # |alpha(0.5)| = 0.44 with one vacuum width of margin,
+        # ceil((sqrt(37) e^0.2 + 1 + 0.44)²) = 79.  The doubling check's
+        # 80-level basis passes on its own
+        expected = {"oracle": [40, 79], "compare": [40, 79, 80]}[mode]
         assert runs == [expected, expected]
 
 
@@ -290,7 +293,8 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("argv, needed", [
         (["--alpha-mag", "50", "--oracle-dim", "16"], 3364),
         (["--r", "2.5", "--oracle-dim", "40", "--tau-max", "0.1"], 6569),
-        (["--r", "0.3", "--tau-max", "12"], 43169),  # the evolution basis, not rho's
+        # the tight evolution basis, not rho's: the first size that would run
+        (["--r", "0.3", "--tau-max", "12"], 23074),
     ])
     def test_basis_above_the_cap_is_refused(self, argv, needed, mode, capsys):
         with warnings.catch_warnings():
@@ -342,6 +346,30 @@ class TestMainExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("g2tau: truncation failed: leakage=")
         assert "working_dim=70" in lines[0] and "oracle_dim=60" in lines[0]
+
+    def test_readme_config_example_runs_in_oracle_mode(self, capsys):
+        # its flow size, 3479, is above the cap, but the tight size that runs
+        # first holds the evolution: rows, exit 0, g2 within the leakage's share
+        argv = ["--nbar", "0.2", "--r", "0.8", "--alpha-mag", "0.5", "--tau-max", "2",
+                "--steps", "7"]
+        assert main(argv) == EXIT_OK
+        closed = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--mode", "oracle"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        basis = next(line for line in lines if line.startswith("# oracle_dim="))
+        working_dim = int(basis.split("working_dim=")[1].split()[0])
+        assert 120 < working_dim <= _WORKING_DIM_CAP
+
+        def g2_column(rows):
+            header = rows.index(next(row for row in rows if row.startswith("tau,")))
+            column = rows[header].split(",").index("g2")
+            return np.array([float(row.split(",")[column]) for row in rows[header + 1:]])
+
+        oracle, reference = g2_column(lines), g2_column(closed)
+        assert oracle.size == reference.size == 8
+        np.testing.assert_allclose(oracle, reference, rtol=10 * LEAKAGE_TOL, atol=0)
 
     @pytest.mark.parametrize("argv, bound", [
         (["--r", "0.5", "--tau-max", "1000"], f"<= {MAX_COSH_ARG:g}"),
