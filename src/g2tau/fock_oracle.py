@@ -25,14 +25,13 @@ A delay sweep (:func:`oracle_sweep`) evolves rho in one working basis of N
 states at a time.  It first tries N = dim, the levels rho lives on, and
 keeps that result when its measured leakage (below) is at most LEAKAGE_TOL.
 Only when that basis leaks does it evaluate the closed-form flow, once, and
-size two larger bases from it: a tight one holding rho's levels down to a
-suffix population of _TIGHT_SUPPORT_TOL with one vacuum width of margin,
-then the flow size holding them down to _SUPPORT_TOL with four, the most it
-ever uses.  It keeps the first of them that leaks at most LEAKAGE_TOL, or
-else the flow size.  In each basis one eigendecomposition
-H = V diag(w) V† serves every delay: with the phases Phi = exp(i tau w), n
-the number operator on the working basis and V_edge the rows of V for its
-top 10% levels,
+size two larger bases from it, both holding rho's levels down to a suffix
+population of _EVOLUTION_SUPPORT_TOL: a tight one with one vacuum width of
+margin, then the last resort with four, the most it ever uses.  It keeps
+the first of them that leaks at most LEAKAGE_TOL, or else the last resort.
+In each basis one eigendecomposition H = V diag(w) V† serves every delay:
+with the phases Phi = exp(i tau w), n the number operator on the working
+basis and V_edge the rows of V for its top 10% levels,
 
     Tr[rho n(tau)]      = sum_jk Phi_j Mr_jk conj(Phi_k),  Mr = (V† rho V)^T ∘ (V† n V)
     Tr[rho a† n(tau) a] = sum_jk Phi_j Mx_jk conj(Phi_k),  Mx = (V† a rho a† V)^T ∘ (V† n V)
@@ -83,9 +82,7 @@ _IMAG_TOL = 1e-8
 # its scratch is O(_BLOCK * N) however many delays a sweep has.
 _BLOCK = 64
 
-# oracle_sweep's flow-size basis, its last resort, holds the levels of rho
-# down to a suffix population below this; gaussian_rho keeps the thermal
-# levels down to it.
+# gaussian_rho keeps the thermal levels down to a suffix population below this.
 _SUPPORT_TOL = 1e-17
 
 # Largest trusted leakage (see OracleSweep).  Measured with the evolution
@@ -96,30 +93,32 @@ _SUPPORT_TOL = 1e-17
 #   hull corner at dim 240, tau <= 1:  9.0e-5, 3.8e-6, 1.4e-7 -> 3.6e-4, 1.3e-5, 4.1e-7
 #   |alpha| 3, r 0.5, tau <= 2:  6.8e-6, 1.7e-7, 4.7e-9 -> 6.8e-7, 1.4e-8, 2.8e-10
 # so 1e-8 keeps the evolution's share of the g2 error near 1e-7, under the
-# doubling check's 1e-6.  At the flow-sized N every one of them leaks below
-# 1e-16.  oracle_sweep also keeps its dim-level basis only when that basis
-# leaks at most this, so the basis it settles on is held to the same bound.
+# doubling check's 1e-6.  At oracle_sweep's last-resort N (dim 120 but for
+# the hull corner) they leak 6.8e-14, 1.6e-17, 2.9e-12 and 1.8e-17.
+# oracle_sweep also keeps its dim-level basis only when that basis
+# leaks at most this, so the basis it settles on is held to the same bound,
+# and convergence_check accepts the same leakage.
 LEAKAGE_TOL = 1e-8
 
-# oracle_sweep's tight basis holds the levels of rho down to a suffix
-# population below this, with one vacuum width of margin.  The population it
-# leaves out can at most all reach the basis edge, so it spends 1/100 of the
-# LEAKAGE_TOL budget and leaves the rest to the Gaussian edge of the levels
-# it holds.  Measured on states of the benchmark hull (r <= 0.8,
-# |alpha| <= 1.5, nbar <= 1, tau <= 1) whose 120- or 240-level basis leaked,
-# as tight size / flow size and leakage at the tight size:
-#   38 sweeps, rho well inside dim:  0.43-0.76, leakage 1.5e-12 to 1.7e-10
-#   23 sweeps, rho filling dim with 4e-9 to 1.4e-7 in its top 10%:  0.79-0.81, 2.2e-12 to 4.8e-9
+# oracle_sweep's fallback bases hold the levels of rho down to a suffix
+# population below this, first with one vacuum width of margin, then with
+# four.  The population they leave out can at most all reach the basis edge,
+# so it spends 1/100 of the LEAKAGE_TOL budget and leaves the rest to the
+# Gaussian edge of the levels they hold.  Measured on states of the benchmark
+# hull (r <= 0.8, |alpha| <= 1.5, nbar <= 1, tau <= 1) whose 120- or
+# 240-level basis leaked, as the leakage at one vacuum width of margin:
+#   38 sweeps, rho well inside dim:  1.5e-12 to 1.7e-10
+#   23 sweeps, rho filling dim with 4e-9 to 1.4e-7 in its top 10%:  2.2e-12 to 4.8e-9
 #     (one of them leaks 4.3e-8 with no margin)
-#   2 sweeps, rho filling dim with 2.6e-7 in its top 10%:  0.81, 9.9e-9 and 1.1e-8
+#   2 sweeps, rho filling dim with 2.6e-7 in its top 10%:  9.9e-9 and 1.1e-8
 # and beyond them, with more in rho's top 10%:
-#   hull corner, nbar 1, r 0.8, theta pi, |alpha| 1.5, top 10% 1.5e-6:  0.81, 1.0e-7
-#   squeezed vacuum r 1.5, tau <= 1, top 10% 2.6e-6:  0.89, 9.0e-7
-#   README config example, tau <= 2, rho inside dim:  1940 of 3479 levels, 1.5e-10
-# So the tight size holds the evolution unless rho's top levels hold more
-# than about 1e-7, and those states are left to the flow size, which leaks
-# 1e-16 at the hull corner.
-_TIGHT_SUPPORT_TOL = LEAKAGE_TOL / 100
+#   hull corner, nbar 1, r 0.8, theta pi, |alpha| 1.5, top 10% 1.5e-6:  1.0e-7
+#   squeezed vacuum r 1.5, tau <= 1, top 10% 2.6e-6:  9.0e-7
+#   README config example, tau <= 2, rho inside dim:  1940 levels, 1.5e-10
+# So one width holds the evolution unless rho's top levels hold more than
+# about 1e-7, and those states are left to four widths, which leak 1e-16 at
+# the hull corner.
+_EVOLUTION_SUPPORT_TOL = LEAKAGE_TOL / 100
 
 
 class TruncationError(Exception):
@@ -159,7 +158,7 @@ class OracleSweep:
     double-precision machine epsilon, N the working dimension).  tail_mass
     is the population of the top 10% of rho's dim-state basis.  working_dim
     is the N the sweep kept: dim, or when dim leaked too much the tight
-    size, or when that leaked too the flow size (see oracle_sweep).  leakage
+    size, or when that leaked too the last resort (see oracle_sweep).  leakage
     is the largest population, over the delays, that the evolved state
     rho(tau) puts in the top 10% of the N working levels.
     """
@@ -348,6 +347,7 @@ def gaussian_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
     weight are built, K the support of the weights at _SUPPORT_TOL, and no
     eigensolve is made.  Each call returns a new array.
     """
+    _require_dim(dim)
     big = _working_dim(dim, state.xi.r, abs(state.alpha))
     weights = _thermal_weights(state.nbar, big)
     kept = _support(weights)
@@ -477,13 +477,12 @@ def oracle_sweep(
     e^{iH tau} n e^{-iH tau} acts on one working basis for the whole sweep.
     The sweep first runs in the dim-level basis and keeps it if its leakage
     is at most LEAKAGE_TOL.  Otherwise it evaluates the flow once and tries
-    up to two larger bases, each holding a support of rho (its levels down
-    to a suffix population) through the flow's stretch and shift at every
-    delay: the tight size, rho's support at _TIGHT_SUPPORT_TOL with one
-    vacuum width of margin, and then the flow size, its support at
-    _SUPPORT_TOL with four.  It keeps the first whose leakage is at most
-    LEAKAGE_TOL, or else the flow size, and skips a size no larger than the
-    last one run.  A size above _WORKING_DIM_CAP raises TruncationError just
+    up to two larger bases, both holding rho's support (its levels down to a
+    suffix population of _EVOLUTION_SUPPORT_TOL) through the flow's stretch
+    and shift at every delay: the tight size, with one vacuum width of
+    margin, and then the last resort, with four.  It keeps the first whose
+    leakage is at most LEAKAGE_TOL, or else the last resort, and skips a
+    size no larger than the last one run.  A size above _WORKING_DIM_CAP raises TruncationError just
     before it would run.  So the Hamiltonian is diagonalized once when the
     dim basis holds the evolution, and at most three times.
     """
@@ -493,10 +492,10 @@ def oracle_sweep(
     sweep = _sweep_in(rho, params, taus, rho.shape[0])
     if sweep.leakage <= LEAKAGE_TOL:
         return sweep
-    populations = rho.diagonal().real
+    support = _support(rho.diagonal().real, _EVOLUTION_SUPPORT_TOL)
     flow = _flow(params, taus)
-    for support_tol, margin in ((_TIGHT_SUPPORT_TOL, 1.0), (_SUPPORT_TOL, 4.0)):
-        size = _evolution_dim(params, taus, _support(populations, support_tol), margin, flow)
+    for margin in (1.0, 4.0):
+        size = _evolution_dim(params, taus, support, margin, flow)
         if size > sweep.working_dim:
             sweep = _sweep_in(rho, params, taus, size)
             if sweep.leakage <= LEAKAGE_TOL:
@@ -524,7 +523,7 @@ def convergence_check(
 
     Converged means the relative g2 change under doubling stays below 1e-6,
     the top 10% of the base-dim number basis holds less than 1e-8 of the
-    population, and the base sweep's leakage is below LEAKAGE_TOL: once rho
+    population, and the base sweep's leakage is at most LEAKAGE_TOL: once rho
     fits in dim, the doubled sweep sizes its evolution basis from the same
     support, so only the leakage sees that basis run out.  A caller holding
     a sweep of the state at `dim` whose last delay is tau passes it as base,
@@ -537,7 +536,7 @@ def convergence_check(
     return TruncationReport(
         dim=dim,
         tail_mass=base.tail_mass,
-        converged=(rel_change < 1e-6 and base.tail_mass < 1e-8 and base.leakage < LEAKAGE_TOL),
+        converged=(rel_change < 1e-6 and base.tail_mass < 1e-8 and base.leakage <= LEAKAGE_TOL),
         g2_rel_change=rel_change,
         working_dim=base.working_dim,
         leakage=base.leakage,

@@ -31,7 +31,7 @@ import math
 import operator
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -95,20 +95,36 @@ MAX_STEPS = 1_000_000  # a closed-form sweep of 1e6 steps: 6 s (CSV) to 8 s (JSO
 MAX_COSH_ARG = 709.0
 MAX_AMPLITUDE = 1e154
 
-_DEFAULTS = {
-    "nbar": 0.0,
-    "r": 0.0,
-    "theta": 0.0,
-    "alpha_mag": 0.0,
-    "alpha_phase": 0.0,
-    "t_gen": 1.0,
-    "tau_max": 1.0,
-    "steps": 200,
-    "mode": "closed_form",
-    "oracle_dim": 120,
-    "format": "csv",
-    "output": None,
+
+class _Option(NamedTuple):
+    """One option: the flag --name with dashes, and the config key in either spelling."""
+
+    kind: type | tuple[str, ...]  # float, int, str, or the allowed values
+    default: object
+    help: str
+    bound: tuple[str, int] | None = None  # (">=" or ">", lower bound), where it has one
+
+
+# Every option, in --help order; parse_config converts and checks in this order.
+_OPTIONS = {
+    "nbar": _Option(float, 0.0, "thermal occupation", (">=", 0)),
+    "r": _Option(float, 0.0, "squeeze magnitude", (">=", 0)),
+    "theta": _Option(float, 0.0, "squeeze phase, radians"),
+    "alpha_mag": _Option(float, 0.0, "displacement magnitude", (">=", 0)),
+    "alpha_phase": _Option(float, 0.0, "displacement phase, radians"),
+    "t_gen": _Option(float, 1.0, "generation time of the state", (">", 0)),
+    "tau_max": _Option(float, 1.0, "largest delay of the sweep", (">", 0)),
+    "steps": _Option(int, 200, "number of grid intervals; steps+1 rows", (">=", 1)),
+    "mode": _Option(MODES, "closed_form", "evaluation path"),
+    "oracle_dim": _Option(int, 120, "Fock truncation for oracle/compare"),
+    "format": _Option(FORMATS, "csv", "output format"),
+    "output": _Option(str, None, "output file, '-' or omitted for stdout"),
 }
+_BOUND_CHECKS = {">=": operator.ge, ">": operator.gt}
+
+
+def _dashed(name: str) -> str:
+    return name.replace("_", "-")
 
 
 class UsageError(Exception):
@@ -152,20 +168,14 @@ def _build_parser() -> _Parser:
         description="Sweep the temporal second-order coherence g2(tau) of "
         "displaced-squeezed thermal light from a degenerate parametric amplifier.",
     )
-    add = parser.add_argument
-    add("--nbar", type=float, default=None, help="thermal occupation (default 0)")
-    add("--r", type=float, default=None, help="squeeze magnitude (default 0)")
-    add("--theta", type=float, default=None, help="squeeze phase, radians (default 0)")
-    add("--alpha-mag", type=float, default=None, help="displacement magnitude (default 0)")
-    add("--alpha-phase", type=float, default=None, help="displacement phase, radians (default 0)")
-    add("--t-gen", type=float, default=None, help="generation time of the state (default 1)")
-    add("--tau-max", type=float, default=None, help="largest delay of the sweep (default 1)")
-    add("--steps", type=int, default=None, help="number of grid intervals; steps+1 rows (default 200)")
-    add("--mode", choices=MODES, default=None, help="evaluation path (default closed_form)")
-    add("--oracle-dim", type=int, default=None, help="Fock truncation for oracle/compare (default 120)")
-    add("--format", choices=FORMATS, default=None, help="output format (default csv)")
-    add("--output", default=None, help="output file, '-' or omitted for stdout")
-    add("--config", default=None, help="JSON file of defaults; explicit flags win")
+    for name, option in _OPTIONS.items():
+        kind = {"choices": option.kind} if isinstance(option.kind, tuple) else {"type": option.kind}
+        text = option.help
+        if option.default is not None:
+            shown = f"{option.default:g}" if isinstance(option.default, float) else option.default
+            text += f" (default {shown})"
+        parser.add_argument("--" + _dashed(name), default=None, help=text, **kind)
+    parser.add_argument("--config", default=None, help="JSON file of defaults; explicit flags win")
     return parser
 
 
@@ -182,7 +192,7 @@ def _load_config_file(path: str) -> dict:
     values = {}
     for key, value in raw.items():
         name = key.replace("-", "_")
-        if name not in _DEFAULTS:
+        if name not in _OPTIONS:
             raise UsageError(f"unknown config key: {key!r}")
         values[name] = value
     return values
@@ -202,6 +212,9 @@ def _as_int(name: str, value: object) -> int:
     return value
 
 
+_CONVERTERS = {float: _as_float, int: _as_int}
+
+
 def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     """Resolve flags, optional config file, and defaults into a RunConfig.
 
@@ -211,65 +224,48 @@ def parse_config(argv: Sequence[str] | None = None) -> RunConfig:
     and grid whose mean_n overflows, see _check_finite_mean) is a UsageError.
     """
     namespace = _build_parser().parse_args(argv)
-    merged = dict(_DEFAULTS)
+    values = {name: option.default for name, option in _OPTIONS.items()}
     if namespace.config is not None:
-        merged.update(_load_config_file(namespace.config))
-    for name in _DEFAULTS:
+        values.update(_load_config_file(namespace.config))
+    for name in _OPTIONS:
         flag_value = getattr(namespace, name)
         if flag_value is not None:
-            merged[name] = flag_value
+            values[name] = flag_value
 
-    nbar = _as_float("nbar", merged["nbar"])
-    r = _as_float("r", merged["r"])
-    theta = _as_float("theta", merged["theta"])
-    alpha_mag = _as_float("alpha-mag", merged["alpha_mag"])
-    alpha_phase = _as_float("alpha-phase", merged["alpha_phase"])
-    t_gen = _as_float("t-gen", merged["t_gen"])
-    tau_max = _as_float("tau-max", merged["tau_max"])
-    steps = _as_int("steps", merged["steps"])
-    oracle_dim = _as_int("oracle-dim", merged["oracle_dim"])
-    mode = merged["mode"]
-    output_format = merged["format"]
-    output = merged["output"]
+    for name, option in _OPTIONS.items():
+        if option.kind in _CONVERTERS:
+            values[name] = _CONVERTERS[option.kind](_dashed(name), values[name])
+    for name, option in _OPTIONS.items():
+        if isinstance(option.kind, tuple) and values[name] not in option.kind:
+            raise UsageError(f"{_dashed(name)} must be one of {option.kind}, got {values[name]!r}")
+    for name, option in _OPTIONS.items():
+        if option.bound is not None:
+            sign, floor = option.bound
+            if not _BOUND_CHECKS[sign](values[name], floor):
+                raise UsageError(f"{_dashed(name)} must be {sign} {floor}, got {values[name]}")
 
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
-    if output_format not in FORMATS:
-        raise UsageError(f"format must be one of {FORMATS}, got {output_format!r}")
-    if nbar < 0.0:
-        raise UsageError(f"nbar must be >= 0, got {nbar}")
-    if r < 0.0:
-        raise UsageError(f"r must be >= 0, got {r}")
-    if alpha_mag < 0.0:
-        raise UsageError(f"alpha-mag must be >= 0, got {alpha_mag}")
-    if t_gen <= 0.0:
-        raise UsageError(f"t-gen must be > 0, got {t_gen}")
-    if tau_max <= 0.0:
-        raise UsageError(f"tau-max must be > 0, got {tau_max}")
-    if steps < 1:
-        raise UsageError(f"steps must be >= 1, got {steps}")
-    if steps > MAX_STEPS:
-        raise UsageError(f"steps must be <= {MAX_STEPS}, got {steps}")
-    if mode != "closed_form" and oracle_dim < 2:
-        raise UsageError(f"oracle-dim must be >= 2, got {oracle_dim}")
-    if output is not None and not isinstance(output, str):
-        raise UsageError(f"output must be a path, got {output!r}")
-    _check_finite_mean(r, alpha_mag, t_gen, tau_max)
+    if values["steps"] > MAX_STEPS:
+        raise UsageError(f"steps must be <= {MAX_STEPS}, got {values['steps']}")
+    if values["mode"] != "closed_form" and values["oracle_dim"] < 2:
+        raise UsageError(f"oracle-dim must be >= 2, got {values['oracle_dim']}")
+    if values["output"] is not None and not isinstance(values["output"], str):
+        raise UsageError(f"output must be a path, got {values['output']!r}")
+    _check_finite_mean(values["r"], values["alpha_mag"], values["t_gen"], values["tau_max"])
 
     state = GaussianStateParams(
-        alpha=from_polar(alpha_mag, alpha_phase),
-        xi=SqueezeParam(r, theta),
-        nbar=nbar,
+        alpha=from_polar(values["alpha_mag"], values["alpha_phase"]),
+        xi=SqueezeParam(values["r"], values["theta"]),
+        nbar=values["nbar"],
     )
     return RunConfig(
         state=state,
-        t_gen=t_gen,
-        tau_max=tau_max,
-        steps=steps,
-        mode=mode,
-        oracle_dim=oracle_dim,
-        output_format=output_format,
-        output_path=None if output in (None, "-") else output,
+        t_gen=values["t_gen"],
+        tau_max=values["tau_max"],
+        steps=values["steps"],
+        mode=values["mode"],
+        oracle_dim=values["oracle_dim"],
+        output_format=values["format"],
+        output_path=None if values["output"] in (None, "-") else values["output"],
     )
 
 

@@ -8,6 +8,7 @@ These tests pin the oracle against textbook values computed independently
 turn be trusted as the referee for the closed forms.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -287,6 +288,18 @@ class TestGaussianRho:
         gaussian_rho(state, 120)
         assert sizes == []
 
+    @pytest.mark.parametrize("dim", [1, 0, -1])
+    @pytest.mark.parametrize("build", [
+        lambda dim: gaussian_rho(GaussianStateParams(alpha=0.5 + 0j, xi=SqueezeParam(0.3, 0.0),
+                                                     nbar=0.1), dim),
+        lambda dim: displacement(0.5, dim),
+        lambda dim: squeeze(0.3, dim),
+        lambda dim: hamiltonian_matrix(HamiltonianParams(0.2 + 0j, 0.1j), dim),
+    ], ids=["gaussian_rho", "displacement", "squeeze", "hamiltonian_matrix"])
+    def test_dim_below_two_is_rejected(self, build, dim):
+        with pytest.raises(ValueError, match=f"truncation dimension must be >= 2, got {dim}$"):
+            build(dim)
+
     def test_returned_copy_is_safe_to_mutate(self):
         state = GaussianStateParams(alpha=0.5 + 0j, xi=SqueezeParam(0.3, 0.0), nbar=0.1)
         first = gaussian_rho(state, 40)
@@ -485,49 +498,50 @@ class TestSweepSizing:
 
     @staticmethod
     def _fallback_sizes(rho, params, taus):
-        """The tight and flow sizes, from the rule written out one delay at a time.
+        """The tight and last-resort sizes, from the rule written out one delay at a time.
 
-        Each holds rho's support, the levels down to a suffix population of
-        1e-10 (tight) or 1e-17 (flow), through the flow's stretch and shift,
-        with 1 or 4 vacuum widths of margin, and is never below dim.
+        Both hold rho's support, its levels down to a suffix population of
+        1e-10, through the flow's stretch and shift, with 1 (tight) or 4 (last
+        resort) vacuum widths of margin, and neither is below dim.
         """
         dim = rho.shape[0]
         populations = rho.diagonal().real
-        sizes = []
-        for tol, margin in ((1e-10, 1.0), (1e-17, 4.0)):
-            support = next((d for d in range(1, dim + 1) if populations[d:].sum() < tol), dim)
-            sizes.append(max(dim, *(
+        support = next((d for d in range(1, dim + 1) if populations[d:].sum() < 1e-10), dim)
+        return [
+            max(dim, *(
                 math.ceil((math.sqrt(support) * math.exp(r_of_tau(params.c, tau)) + margin
                            + abs(heisenberg_flow(params.b, params.c, tau).shift)) ** 2)
-                for tau in taus)))
-        return sizes
+                for tau in taus))
+            for margin in (1.0, 4.0)
+        ]
 
     def test_hull_corner_falls_back_to_the_flow_size(self, monkeypatch):
         # rho fills all 120 levels and its top band holds 1.5e-6, so its
-        # support is all 120 levels at either tolerance: the 120-level basis
-        # leaks, the tight basis, with one vacuum width of margin, leaks 1e-7,
-        # and the sweep evolves once more at the flow size
+        # support is all 120 levels: the 120-level basis leaks, the tight
+        # basis, with one vacuum width of margin, leaks 1e-7, and the sweep
+        # evolves once more at the last resort, with four
         nbar, r, theta, alpha = 1.0, 0.8, math.pi, 1.5
         state = GaussianStateParams(alpha=alpha + 0j, xi=SqueezeParam(r, theta), nbar=nbar)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 120, [0.0, 0.5, 1.0]
         rho = gaussian_rho(state, dim)
-        tight, flow = self._fallback_sizes(rho, params, taus)
+        tight, last = self._fallback_sizes(rho, params, taus)
         sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
-        assert sizes == [dim, tight, flow] and dim < tight < flow
-        assert sweep.working_dim == flow
+        assert sizes == [dim, tight, last] == [120, 723, 893]
+        assert sweep.working_dim == last
         assert abs(sweep.leakage) < 1e-15
 
     def test_state_inside_dim_falls_back_to_the_tight_size(self, monkeypatch):
         # rho's levels above a suffix of 1e-10 are its lowest 56 of 120, so
-        # the tight basis holds the evolution well below the flow size
+        # the tight basis, 239 levels, holds the evolution below the last
+        # resort's 340
         state = GaussianStateParams(alpha=0.8 + 0j, xi=SqueezeParam(0.6, 0.0), nbar=0.3)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 120, [0.0, 0.5, 1.0]
         rho = gaussian_rho(state, dim)
-        tight, flow = self._fallback_sizes(rho, params, taus)
+        tight, last = self._fallback_sizes(rho, params, taus)
         sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
-        assert sizes == [dim, tight] and 2 * tight < flow
+        assert sizes == [dim, tight] and (tight, last) == (239, 340)
         assert sweep.working_dim == tight and sweep.leakage <= LEAKAGE_TOL
         reference = coherence_grid(state, params.b, params.c, taus).g2
         np.testing.assert_allclose(sweep.g2, reference, rtol=10 * LEAKAGE_TOL, atol=0)
@@ -556,8 +570,7 @@ class TestSweepSizing:
         state = GaussianStateParams(alpha=0.2 + 0j, xi=SqueezeParam(0.1, 0.0), nbar=0.05)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         rho, taus = gaussian_rho(state, 120), np.array([0.0, 0.5])
-        flow = fock_oracle._evolution_dim(params, taus, fock_oracle._support(rho.diagonal().real))
-        assert flow <= 120  # the case is not vacuous
+        assert self._fallback_sizes(rho, params, taus)[1] <= 120  # the case is not vacuous
         sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
         assert sizes == [120] and sweep.working_dim == 120
 
@@ -575,9 +588,9 @@ class TestSweepSizing:
         accepted = oracle_sweep(rho, params, taus)
         assert accepted.working_dim == dim
         monkeypatch.setattr(fock_oracle, "LEAKAGE_TOL", -1.0)  # no basis passes
-        flow = oracle_sweep(rho, params, taus)
-        assert flow.working_dim > dim
-        np.testing.assert_allclose(accepted.g2, flow.g2, rtol=10 * LEAKAGE_TOL, atol=0)
+        last = oracle_sweep(rho, params, taus)
+        assert last.working_dim == self._fallback_sizes(rho, params, taus)[1] > dim
+        np.testing.assert_allclose(accepted.g2, last.g2, rtol=10 * LEAKAGE_TOL, atol=0)
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=0.5),
@@ -592,10 +605,10 @@ class TestSweepSizing:
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 40, np.linspace(0.0, tau, 5)
         rho = gaussian_rho(state, dim)
-        tight, flow = self._fallback_sizes(rho, params, taus)
+        tight, last = self._fallback_sizes(rho, params, taus)
         sweep = oracle_sweep(rho, params, taus)
-        assert sweep.working_dim in (dim, tight, flow)
-        assert sweep.leakage <= LEAKAGE_TOL or sweep.working_dim == flow
+        assert sweep.working_dim in (dim, tight, last)
+        assert sweep.leakage <= LEAKAGE_TOL or sweep.working_dim == last
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=0.5),
@@ -605,8 +618,8 @@ class TestSweepSizing:
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=20, deadline=None)
     def test_kept_basis_is_the_first_that_passes(self, nbar, r, theta, amag, phi, tau):
-        # each of dim, tight and flow is evolved on its own; the sweep keeps the
-        # first whose leakage is at most LEAKAGE_TOL, or else the flow size
+        # each of dim, tight and last resort is evolved on its own; the sweep
+        # keeps the first whose leakage is at most LEAKAGE_TOL, or else the last
         state = GaussianStateParams(alpha=from_polar(amag, phi), xi=SqueezeParam(r, theta),
                                     nbar=nbar)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
@@ -620,7 +633,7 @@ class TestSweepSizing:
 
     @staticmethod
     def _per_delay_evolution_dim(params, taus, dim):
-        """The flow size with the flow evaluated one delay at a time."""
+        """_evolution_dim's size with the flow evaluated one delay at a time."""
         return max(
             _working_dim(dim, r_of_tau(params.c, tau), abs(alpha_of_tau(params.b, params.c, tau)))
             for tau in taus
@@ -698,6 +711,17 @@ class TestConvergenceCheck:
         report = convergence_check(state, params, 1.5, 60)
         assert report.working_dim == 70 and report.leakage > LEAKAGE_TOL
         assert not report.converged
+
+    def test_leakage_at_the_tolerance_converges(self):
+        # oracle_sweep and oracle mode keep a basis that leaks at most
+        # LEAKAGE_TOL, and the doubling check accepts the same
+        state = GaussianStateParams(alpha=from_polar(0.8, 0.4),
+                                    xi=SqueezeParam(0.4, 1.0), nbar=0.3)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        base = oracle_sweep(gaussian_rho(state, 60), params, [1.5])
+        at_tol = dataclasses.replace(base, leakage=LEAKAGE_TOL)
+        report = convergence_check(state, params, 1.5, 60, base=at_tol)
+        assert report.leakage == LEAKAGE_TOL and report.converged
 
     def test_vacuum_propagates_undefined_coherence(self):
         vacuum = GaussianStateParams(alpha=0j, xi=SqueezeParam(0.0, 0.0), nbar=0.0)

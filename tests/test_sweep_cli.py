@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from g2tau.sweep_cli import (
     MAX_COSH_ARG,
     MAX_STEPS,
     UsageError,
+    _build_parser,
     _evaluate,
     main,
     parse_config,
@@ -250,6 +252,32 @@ class TestMainExitCodes:
         assert err.startswith("g2tau: error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--nbar", "-1"], "nbar must be >= 0, got -1.0"),
+        (["--t-gen", "0"], "t-gen must be > 0, got 0.0"),
+        (["--steps", "0"], "steps must be >= 1, got 0"),
+        (["--steps", "2000000"], "steps must be <= 1000000, got 2000000"),
+        (["--mode", "oracle", "--oracle-dim", "1"], "oracle-dim must be >= 2, got 1"),
+        (["--mode", "bogus"], "argument --mode: invalid choice: 'bogus' "
+                              "(choose from 'closed_form', 'oracle', 'compare')"),
+        (["--nbar", "x"], "argument --nbar: invalid float value: 'x'"),
+        (["--alpha-mag", "-2", "--nbar", "-1"], "nbar must be >= 0, got -1.0"),
+        # a type error is reported before a bad mode, and nbar's before steps'
+        (["--config", "{config}"], "nbar must be a number, got 'x'"),
+    ])
+    def test_usage_error_bytes(self, argv, message, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"nbar": "x", "mode": "zz", "steps": 1.5}))
+        assert main([arg.replace("{config}", str(config)) for arg in argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"g2tau: error: {message}\nrun 'g2tau --help' for usage\n"
+
+    def test_help_matches_its_golden_text(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        golden = Path(__file__).parent / "golden" / "help.stdout"
+        assert _build_parser().format_help() == golden.read_text()
+
     def test_vacuum(self, capsys):
         assert main([]) == EXIT_UNDEFINED
         err = capsys.readouterr().err
@@ -348,8 +376,8 @@ class TestMainExitCodes:
         assert "working_dim=70" in lines[0] and "oracle_dim=60" in lines[0]
 
     def test_readme_config_example_runs_in_oracle_mode(self, capsys):
-        # its flow size, 3479, is above the cap, but the tight size that runs
-        # first holds the evolution: rows, exit 0, g2 within the leakage's share
+        # the 120-level basis leaks, and the tight size, 1940 levels, holds the
+        # evolution: rows, exit 0, g2 within the leakage's share
         argv = ["--nbar", "0.2", "--r", "0.8", "--alpha-mag", "0.5", "--tau-max", "2",
                 "--steps", "7"]
         assert main(argv) == EXIT_OK
