@@ -5,7 +5,7 @@ between states and amplifier couplings, and a truncated Fock-space oracle that
 cross-checks both.  Everything else is imported from its submodule.
 """
 
-from .fock_oracle import convergence_check, g2_oracle, gaussian_rho
+from .fock_oracle import g2_oracle, gaussian_rho
 from .gaussian_core import (
     GaussianStateParams,
     SqueezeParam,
@@ -30,7 +30,6 @@ __all__ = [
     "HamiltonianParams",
     "SqueezeParam",
     "UndefinedCoherenceError",
-    "convergence_check",
     "from_polar",
     "g2",
     "g2_oracle",

@@ -12,14 +12,16 @@ real cross-check rather than a tautology.
 The state is prepared in a working space enlarged enough that squeeze
 stretch and displacement stay inside the basis, then cropped to the
 requested dimension `dim`; the remaining error is set by the state's own
-Fock tail, which is what convergence_check measures.  The displacement is
-built from its exact Fock matrix elements (associated Laguerre polynomials,
-by a stable recurrence), and the squeeze from its exact matrix elements
-(a neutrally stable recurrence along each diagonal), so preparing the state
-makes no eigensolve; only the columns of S that the thermal weights keep
-are built.  Every working basis is sized from the exact stretch and shift
-it must hold, and one that would exceed _WORKING_DIM_CAP raises
-TruncationError when it is about to be built.
+Fock tail, which every sweep reads from rho's diagonal twice: as the
+population of rho's top 10% levels (tail_mass), and as the share of g2's
+zero-delay numerator sum n(n-1) rho_nn that those levels hold (pair_tail).
+The displacement is built from its exact Fock matrix elements (associated
+Laguerre polynomials, by a stable recurrence), and the squeeze from its
+exact matrix elements (a neutrally stable recurrence along each diagonal),
+so preparing the state makes no eigensolve; only the columns of S that
+the thermal weights keep are built.  Every working basis is sized from the
+exact stretch and shift it must hold, and one that would exceed
+_WORKING_DIM_CAP raises TruncationError when it is about to be built.
 
 A delay sweep (:func:`oracle_sweep`) evolves rho in one working basis of N
 states at a time.  It first tries N = dim, the levels rho lives on, and
@@ -64,7 +66,6 @@ from .param_map import HamiltonianParams
 __all__ = [
     "LEAKAGE_TOL",
     "TruncationError",
-    "TruncationReport",
     "OracleSweep",
     "displacement",
     "squeeze",
@@ -72,7 +73,6 @@ __all__ = [
     "hamiltonian_matrix",
     "oracle_sweep",
     "g2_oracle",
-    "convergence_check",
 ]
 
 # Tolerated imaginary residue on traces that are real by Hermiticity.
@@ -93,11 +93,12 @@ _SUPPORT_TOL = 1e-17
 #   hull corner at dim 240, tau <= 1:  9.0e-5, 3.8e-6, 1.4e-7 -> 3.6e-4, 1.3e-5, 4.1e-7
 #   |alpha| 3, r 0.5, tau <= 2:  6.8e-6, 1.7e-7, 4.7e-9 -> 6.8e-7, 1.4e-8, 2.8e-10
 # so 1e-8 keeps the evolution's share of the g2 error near 1e-7, under the
-# doubling check's 1e-6.  At oracle_sweep's last-resort N (dim 120 but for
-# the hull corner) they leak 6.8e-14, 1.6e-17, 2.9e-12 and 1.8e-17.
-# oracle_sweep also keeps its dim-level basis only when that basis
-# leaks at most this, so the basis it settles on is held to the same bound,
-# and convergence_check accepts the same leakage.
+# 1e-6 that compare mode allows rho's truncation (its pair_tail bound).  At
+# oracle_sweep's last-resort N (dim 120 but for the hull corner) they leak
+# 6.8e-14, 1.6e-17, 2.9e-12 and 1.8e-17.  oracle_sweep also keeps its
+# dim-level basis only when that basis leaks at most this, so the basis it
+# settles on is held to the same bound, and compare mode accepts the same
+# leakage.
 LEAKAGE_TOL = 1e-8
 
 # oracle_sweep's fallback bases hold the levels of rho down to a suffix
@@ -105,8 +106,8 @@ LEAKAGE_TOL = 1e-8
 # four.  The population they leave out can at most all reach the basis edge,
 # so it spends 1/100 of the LEAKAGE_TOL budget and leaves the rest to the
 # Gaussian edge of the levels they hold.  Measured on states of the benchmark
-# hull (r <= 0.8, |alpha| <= 1.5, nbar <= 1, tau <= 1) whose 120- or
-# 240-level basis leaked, as the leakage at one vacuum width of margin:
+# hull (r <= 0.8, |alpha| <= 1.5, nbar <= 1, tau <= 1) whose basis of dim =
+# 120 or 240 levels leaked, as the leakage at one vacuum width of margin:
 #   38 sweeps, rho well inside dim:  1.5e-12 to 1.7e-10
 #   23 sweeps, rho filling dim with 4e-9 to 1.4e-7 in its top 10%:  2.2e-12 to 4.8e-9
 #     (one of them leaks 4.3e-8 with no margin)
@@ -117,7 +118,9 @@ LEAKAGE_TOL = 1e-8
 #   README config example, tau <= 2, rho inside dim:  1940 levels, 1.5e-10
 # So one width holds the evolution unless rho's top levels hold more than
 # about 1e-7, and those states are left to four widths, which leak 1e-16 at
-# the hull corner.
+# the hull corner.  Compare mode refuses those states at dim 120 on rho
+# alone: their top 10% holds 2.2e-4 (hull corner) and 4.9e-4 (r 1.5) of g2's
+# zero-delay numerator, above its pair_tail bound of 1e-6.
 _EVOLUTION_SUPPORT_TOL = LEAKAGE_TOL / 100
 
 
@@ -125,25 +128,9 @@ class TruncationError(Exception):
     """The oracle's truncation cannot be trusted, so it gives no numbers.
 
     Raised here when a working basis would exceed _WORKING_DIM_CAP, and by
-    the CLI when a sweep's tail mass or leakage is above its threshold.
+    the CLI when a sweep's pair_tail, tail mass or leakage is above its
+    threshold.
     """
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """Outcome of a dimension-doubling convergence probe.
-
-    dim is the base truncation; g2_rel_change is |g2(2*dim) - g2(dim)| / |g2(2*dim)|;
-    tail_mass is the population of the top 10% of the base-dim number basis;
-    working_dim and leakage are those of the base sweep (see OracleSweep).
-    """
-
-    dim: int
-    tail_mass: float
-    converged: bool
-    g2_rel_change: float
-    working_dim: int
-    leakage: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +143,9 @@ class OracleSweep:
     moduli |Mr_jk| do not depend on the delay, in length-N dot products, so
     its rounding error is bounded by floor = N eps sum_jk |Mr_jk| (eps the
     double-precision machine epsilon, N the working dimension).  tail_mass
-    is the population of the top 10% of rho's dim-state basis.  working_dim
+    is the population of the top 10% of rho's dim-state basis, and pair_tail
+    the share of g2's zero-delay numerator Tr[rho a†² a²] = sum n(n-1) rho_nn
+    that those levels hold; it is nan when that numerator is zero.  working_dim
     is the N the sweep kept: dim, or when dim leaked too much the tight
     size, or when that leaked too the last resort (see oracle_sweep).  leakage
     is the largest population, over the delays, that the evolved state
@@ -168,6 +157,7 @@ class OracleSweep:
     numerator: np.ndarray
     floor: float
     tail_mass: float
+    pair_tail: float
     working_dim: int
     leakage: float
 
@@ -463,9 +453,13 @@ def _sweep_in(
             np.einsum("bkj,bj->kb", forms_at, phase.conj()), "oracle trace"
         )
     numerator, mean_n, edge = traces
+    edge_start = _edge_start(dim)
     mean_0 = float(np.arange(dim) @ rho.diagonal().real)
-    tail_mass = float(np.sum(rho.diagonal()[_edge_start(dim) :]).real)
-    return OracleSweep(mean_0, mean_n, numerator, floor, tail_mass, big, float(edge.max()))
+    tail_mass = float(np.sum(rho.diagonal()[edge_start:]).real)
+    pairs = np.arange(dim) * np.arange(-1, dim - 1) * rho.diagonal().real  # n(n-1) rho_nn
+    pair_weight = float(pairs.sum())
+    pair_tail = float(pairs[edge_start:].sum()) / pair_weight if pair_weight else math.nan
+    return OracleSweep(mean_0, mean_n, numerator, floor, tail_mass, pair_tail, big, float(edge.max()))
 
 
 def oracle_sweep(
@@ -510,34 +504,3 @@ def g2_oracle(
     if state.is_vacuum:
         raise UndefinedCoherenceError()
     return float(oracle_sweep(gaussian_rho(state, dim), params, [tau]).g2[0])
-
-
-def convergence_check(
-    state: GaussianStateParams,
-    params: HamiltonianParams,
-    tau: float,
-    dim: int,
-    base: OracleSweep | None = None,
-) -> TruncationReport:
-    """Probe truncation adequacy by doubling the dimension.
-
-    Converged means the relative g2 change under doubling stays below 1e-6,
-    the top 10% of the base-dim number basis holds less than 1e-8 of the
-    population, and the base sweep's leakage is at most LEAKAGE_TOL: once rho
-    fits in dim, the doubled sweep sizes its evolution basis from the same
-    support, so only the leakage sees that basis run out.  A caller holding
-    a sweep of the state at `dim` whose last delay is tau passes it as base,
-    so only the doubled point is built.
-    """
-    g2_doubled = g2_oracle(state, params, tau, 2 * dim)  # rejects the vacuum
-    if base is None:
-        base = oracle_sweep(gaussian_rho(state, dim), params, [tau])
-    rel_change = abs(g2_doubled - float(base.g2[-1])) / abs(g2_doubled)
-    return TruncationReport(
-        dim=dim,
-        tail_mass=base.tail_mass,
-        converged=(rel_change < 1e-6 and base.tail_mass < 1e-8 and base.leakage <= LEAKAGE_TOL),
-        g2_rel_change=rel_change,
-        working_dim=base.working_dim,
-        leakage=base.leakage,
-    )

@@ -17,9 +17,10 @@ Exit status: 0 success; 1 usage error (including a state whose closed-form
 g2 overflows double precision, and an --output that cannot be opened for
 writing, which leaves no file and an empty stdout); 2 undefined coherence
 (vacuum state); 3 comparison or truncation failure (compare: worst relative
-error above 1e-4 or oracle not converged; oracle: more than 1e-4 of rho in
-its top 10% levels, or more than 1e-8 of the evolved state in the top 10% of
-the working basis; both: a working basis above the oracle's cap of 3072
+error above 1e-4, or a truncation not converged, see Convergence; oracle: more
+than 1e-4 of rho in its top 10% levels, or more than 1e-8 of the evolved state
+in the top 10% of the working basis; both: none of g2's zero-delay numerator
+below rho's top 10% levels, or a working basis above the oracle's cap of 3072
 levels).
 """
 
@@ -39,8 +40,6 @@ from .fock_oracle import (
     LEAKAGE_TOL,
     OracleSweep,
     TruncationError,
-    TruncationReport,
-    convergence_check,
     gaussian_rho,
     oracle_sweep,
 )
@@ -66,6 +65,7 @@ __all__ = [
     "MAX_AMPLITUDE",
     "UsageError",
     "RunConfig",
+    "Convergence",
     "CompareReport",
     "parse_config",
     "main",
@@ -153,13 +153,32 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
+class Convergence:
+    """Compare mode's verdict on the oracle's truncation, read from its sweep.
+
+    dim is --oracle-dim; tail_mass, pair_tail, working_dim and leakage are
+    the sweep's (see fock_oracle.OracleSweep).  converged holds when rho's
+    top 10% levels carry less than 1e-6 of g2's zero-delay numerator
+    (pair_tail) and less than 1e-8 of its population, and the evolution
+    leaked at most LEAKAGE_TOL; a nan pair_tail is not converged.
+    """
+
+    dim: int
+    tail_mass: float
+    converged: bool
+    pair_tail: float
+    working_dim: int
+    leakage: float
+
+
+@dataclass(frozen=True)
 class CompareReport:
     """Worst-case closed-form vs oracle discrepancy over a sweep."""
 
     max_abs_err: float
     max_rel_err: float
     worst_tau: float
-    convergence: TruncationReport
+    convergence: Convergence
 
 
 def _build_parser() -> _Parser:
@@ -316,6 +335,12 @@ def _evaluate(
         return params, grid, None, None
     rho = gaussian_rho(state, config.oracle_dim)  # held to the end: freed early, peak RSS rose 4%
     sweep = oracle_sweep(rho, params, taus)
+    oracle_g2 = sweep.g2  # a state below the roundoff floor is undefined, not truncated
+    if not sweep.pair_tail < 1.0:
+        raise TruncationError(
+            f"pair_tail={sweep.pair_tail:.3e}: rho holds none of g2's zero-delay numerator "
+            "below its top 10% levels"
+        )
     if config.mode == "oracle":
         if sweep.tail_mass > ORACLE_TAIL_TOL:
             raise TruncationError(f"tail_mass={sweep.tail_mass:.3e}")
@@ -323,18 +348,20 @@ def _evaluate(
             raise TruncationError(
                 f"leakage={sweep.leakage:.3e} above {LEAKAGE_TOL:g} in working_dim={sweep.working_dim}"
             )
-        return params, replace(grid, mean_n=sweep.mean_n, g2=sweep.g2), sweep, None
+        return params, replace(grid, mean_n=sweep.mean_n, g2=oracle_g2), sweep, None
 
     reference, abs_err = _oracle_columns(grid, sweep)
-    rel_err = abs_err / np.abs(reference)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_err = abs_err / np.abs(reference)
     worst = int(np.argmax(rel_err))  # the first delay of the largest error
-    # probe convergence where the flow squeezing (and truncation stress)
-    # peaks, the sweep's last delay
+    converged = sweep.pair_tail < 1e-6 and sweep.tail_mass < 1e-8 and sweep.leakage <= LEAKAGE_TOL
+    convergence = Convergence(config.oracle_dim, sweep.tail_mass, converged, sweep.pair_tail,
+                              sweep.working_dim, sweep.leakage)
     report = CompareReport(
         max_abs_err=float(abs_err.max()),
         max_rel_err=float(rel_err[worst]),
         worst_tau=float(taus[worst]),
-        convergence=convergence_check(state, params, float(taus[-1]), config.oracle_dim, base=sweep),
+        convergence=convergence,
     )
     return params, grid, sweep, report
 

@@ -36,7 +36,6 @@ from g2tau import (
     GenerationSpec,
     HamiltonianParams,
     SqueezeParam,
-    convergence_check,
     from_polar,
     g2,
     gaussian_rho,
@@ -48,7 +47,7 @@ from g2tau.gaussian_core import coherence_grid
 from g2tau.fock_oracle import displacement, oracle_sweep, squeeze
 from g2tau.sweep_cli import EXIT_COMPARE, EXIT_OK, EXIT_UNDEFINED, EXIT_USAGE, main
 
-from fock_reference import heisenberg_a_matrix, ladder_operators
+from fock_reference import convergence_check, heisenberg_a_matrix, ladder_operators
 
 # --- the evaluation grid -----------------------------------------------------
 

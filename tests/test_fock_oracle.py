@@ -1,7 +1,8 @@
 """Brute-force Fock-space layer: ladder matrices, state construction,
 Hamiltonian evolution by explicit matrix exponential, and trace formulas.
-The ladder matrices, the hand-built thermal rho and the evolved annihilation
-operator come from the test reference `fock_reference.py`.
+The ladder matrices, the hand-built thermal rho, the evolved annihilation
+operator and the dimension-doubling check come from the test reference
+`fock_reference.py`.
 
 These tests pin the oracle against textbook values computed independently
 (hyperbolic identities, geometric sums, known overlaps) so the oracle can in
@@ -22,7 +23,6 @@ from g2tau import (
     HamiltonianParams,
     SqueezeParam,
     UndefinedCoherenceError,
-    convergence_check,
     from_polar,
     g2_oracle,
     gaussian_rho,
@@ -42,7 +42,7 @@ from g2tau.fock_oracle import (
 )
 from g2tau.gaussian_core import PAIR_COUPLING_EPS, alpha_of_tau, coherence_grid, r_of_tau
 
-from fock_reference import heisenberg_a_matrix, ladder_operators, thermal_rho
+from fock_reference import convergence_check, heisenberg_a_matrix, ladder_operators, thermal_rho
 
 
 def op_norm(m):

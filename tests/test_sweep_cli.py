@@ -5,6 +5,7 @@ main() is exercised in-process through its argv parameter; one test runs the
 installed module for real to cover the console entry point.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -33,6 +34,8 @@ from g2tau.sweep_cli import (
     main,
     parse_config,
 )
+
+from fock_reference import convergence_check
 
 
 def config_from(*argv):
@@ -202,10 +205,9 @@ class TestEigensolveCount:
         # which leaks too much, then evolves at the tight size, which holds it:
         # rho's 37 levels above a suffix of 1e-10 through r(0.5) = 0.2 and
         # |alpha(0.5)| = 0.44 with one vacuum width of margin,
-        # ceil((sqrt(37) e^0.2 + 1 + 0.44)²) = 79.  The doubling check's
-        # 80-level basis passes on its own
-        expected = {"oracle": [40, 79], "compare": [40, 79, 80]}[mode]
-        assert runs == [expected, expected]
+        # ceil((sqrt(37) e^0.2 + 1 + 0.44)²) = 79.  Compare mode reads its
+        # verdict from that sweep, so it runs the same eigensolves
+        assert runs == [[40, 79], [40, 79]]
 
 
 class TestRunCompare:
@@ -230,6 +232,87 @@ class TestRunCompare:
                              "--steps", "2", "--tau-max", "0.1")
         with pytest.raises(TruncationError, match="cap of 3072"):
             _evaluate(config)
+
+
+def _hull(nbar, r, theta, alpha_mag, alpha_phase):
+    return ["--nbar", str(nbar), "--r", str(r), "--theta", str(theta),
+            "--alpha-mag", str(alpha_mag), "--alpha-phase", str(alpha_phase)]
+
+
+class TestCompareVerdict:
+    # Compare-mode states, 4 delays on [0, 1] at dim 120, with the doubling
+    # check's verdict and compare mode's
+    STATES = [
+        # the acceptance grid's nbar 1, r 0.8 states: rho's top band holds
+        # pair_tail 1.8e-5 and 2.0e-5, doubled change 5.2e-6
+        pytest.param(["--nbar", "1", "--r", "0.8", "--alpha-mag", "1.5"], False, False,
+                     id="grid-alpha-1.5"),
+        pytest.param(["--nbar", "1", "--r", "0.8", "--alpha-mag", "0.5"], False, False,
+                     id="grid-alpha-0.5"),
+        # thermal light: pair_tail 2.2e-4, doubled change 7.0e-5
+        pytest.param(["--nbar", "8"], False, False, id="thermal-nbar-8"),
+        # benchmark-hull draws past the bounds: doubled change 1.1e-6, pair_tail 5.3e-6
+        pytest.param(_hull(0.9888, 0.7390, 0.3452, 0.3902, 5.3672), False, False, id="hull-refused"),
+        # and two only compare mode refuses: pair_tail 2.7e-6 and 1.2e-6,
+        # doubled change 3.8e-7 and 2.2e-7
+        pytest.param(_hull(0.9536, 0.6554, 0.3612, 1.3116, 1.3164), True, False, id="hull-pair-2.7e-6"),
+        pytest.param(_hull(0.9389, 0.7219, 3.5014, 0.1338, 5.2140), True, False, id="hull-pair-1.2e-6"),
+        # converged: pair_tail 8.3e-7, the largest of the measured states that
+        # both checks accept, doubled change 1.4e-7
+        pytest.param(_hull(0.9694, 0.6780, 3.1780, 1.0560, 5.1469), True, True, id="hull-pair-8.3e-7"),
+        # doubled change 1.7e-8 from the evolution alone: pair_tail 2e-17
+        pytest.param(["--r", "0.8", "--alpha-mag", "0.5"], True, True, id="squeezed-coherent"),
+        pytest.param(["--nbar", "0.4", "--r", "0.3"], True, True, id="squeezed-thermal"),
+        pytest.param(["--alpha-mag", "1.2", "--alpha-phase", "0.3"], True, True, id="coherent"),
+        pytest.param(["--nbar", "1"], True, True, id="thermal-nbar-1"),
+        pytest.param(["--nbar", "0.5", "--r", "0.5", "--alpha-mag", "1", "--alpha-phase", "0.7",
+                      "--theta", "1.3"], True, True, id="displaced-squeezed-thermal"),
+    ]
+
+    @pytest.mark.parametrize("argv, doubled, compare", STATES)
+    def test_compare_refuses_every_state_the_doubling_check_refuses(self, argv, doubled, compare):
+        config = config_from(*argv, "--mode", "compare", "--steps", "3")
+        params, _, sweep, report = _evaluate(config)
+        reference = convergence_check(config.state, params, config.tau_max, config.oracle_dim,
+                                      base=sweep)
+        assert (reference.converged, report.convergence.converged) == (doubled, compare)
+        assert reference.converged or not report.convergence.converged
+
+    @pytest.mark.parametrize("figures, converged", [
+        pytest.param({}, True, id="as-swept"),
+        pytest.param({"pair_tail": 1e-6}, False, id="pair-tail-at-bound"),
+        pytest.param({"pair_tail": math.nextafter(1e-6, 0.0)}, True, id="pair-tail-below"),
+        pytest.param({"tail_mass": 1e-8}, False, id="tail-mass-at-bound"),
+        pytest.param({"tail_mass": math.nextafter(1e-8, 0.0)}, True, id="tail-mass-below"),
+        pytest.param({"leakage": LEAKAGE_TOL}, True, id="leakage-at-bound"),
+        pytest.param({"leakage": math.nextafter(LEAKAGE_TOL, 1.0)}, False, id="leakage-above"),
+    ])
+    def test_verdict_bounds(self, figures, converged, monkeypatch):
+        # each figure of the sweep at or just inside its bound
+        def sweep_at(rho, params, taus):
+            return dataclasses.replace(oracle_sweep(rho, params, taus), **figures)
+
+        monkeypatch.setattr(sweep_cli, "oracle_sweep", sweep_at)
+        report = _evaluate(config_from("--nbar", "0.4", "--r", "0.3", "--mode", "compare",
+                                       "--steps", "3"))[3]
+        assert report.convergence.converged is converged
+        for name, value in figures.items():
+            assert getattr(report.convergence, name) is value
+
+    def test_zero_oracle_g2_prints_no_warning(self, monkeypatch, capsys):
+        # a zero oracle g2 makes the relative error infinite, quietly
+        def zero_numerator(rho, params, taus):
+            sweep = oracle_sweep(rho, params, taus)
+            return dataclasses.replace(sweep, numerator=np.zeros_like(sweep.numerator))
+
+        monkeypatch.setattr(sweep_cli, "oracle_sweep", zero_numerator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--nbar", "0.4", "--mode", "compare", "--steps", "2"])
+        assert code == EXIT_COMPARE
+        assert capsys.readouterr().err == (
+            "g2tau: comparison failed: max_rel_err=inf converged=True\n"
+        )
 
 
 class TestMainExitCodes:
@@ -363,6 +446,30 @@ class TestMainExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("g2tau: truncation failed: tail_mass=")
+
+    @pytest.mark.parametrize("argv, pair_tail", [
+        # 2 levels hold no pair weight, and 3 hold it all in the top level
+        pytest.param(["--alpha-mag", "0.01", "--mode", "oracle", "--oracle-dim", "2"], "nan",
+                     id="oracle-dim-2"),
+        pytest.param(["--alpha-mag", "0.01", "--mode", "oracle", "--oracle-dim", "3"],
+                     "1.000e+00", id="oracle-dim-3"),
+        pytest.param(["--nbar", "0.1", "--mode", "compare", "--oracle-dim", "2"], "nan",
+                     id="compare-dim-2"),
+        pytest.param(["--nbar", "0.1", "--mode", "compare", "--oracle-dim", "2",
+                      "--format", "json"], "nan", id="compare-dim-2-json"),
+    ])
+    def test_no_pair_weight_below_the_top_band_is_refused(self, argv, pair_tail, capsys):
+        # g2's zero-delay numerator sum n(n-1) rho_nn has nothing below rho's
+        # top 10% levels: the oracle g2 would be -1.9e-12 for coherent light
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--steps", "1"])
+        assert code == EXIT_COMPARE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"g2tau: truncation failed: pair_tail={pair_tail}:")
 
     def test_oracle_leakage_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(fock_oracle, "_evolution_dim", lambda *args: 70)
