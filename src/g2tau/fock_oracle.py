@@ -24,14 +24,17 @@ exact stretch and shift it must hold, and one that would exceed
 _WORKING_DIM_CAP raises TruncationError when it is about to be built.
 
 A delay sweep (:func:`oracle_sweep`) evolves rho in one working basis of N
-states at a time.  It first tries N = dim, the levels rho lives on, and
-keeps that result when its measured leakage (below) is at most LEAKAGE_TOL.
-Only when that basis leaks does it evaluate the closed-form flow, once, and
-size two larger bases from it, both holding rho's levels down to a suffix
-population of _EVOLUTION_SUPPORT_TOL: a tight one with one vacuum width of
-margin, then the last resort with four, the most it ever uses.  It keeps
-the first of them that leaks at most LEAKAGE_TOL, or else the last resort.
-In each basis one eigendecomposition H = V diag(w) V† serves every delay:
+states at a time.  It evaluates the closed-form flow once and sizes its
+bases from it, each holding rho's levels down to a suffix population of
+_EVOLUTION_SUPPORT_TOL: a tight one with one vacuum width of margin, and the
+last resort with four, the most it ever uses.  It first tries the tight
+size, raised to the levels that hold all but eps of g2's sums and capped at
+dim, the levels rho lives on; a basis below dim evolves the lowest N-level
+block of rho.  It keeps that result when its measured leakage (below) is at
+most LEAKAGE_TOL, and otherwise tries dim, the tight size and the last
+resort in turn, keeping the first that leaks at most LEAKAGE_TOL, or else
+the last one run.  In each basis one eigendecomposition H = V diag(w) V†
+serves every delay:
 with the phases Phi = exp(i tau w), n the number operator on the working
 basis and V_edge the rows of V for its top 10% levels,
 
@@ -95,17 +98,17 @@ _SUPPORT_TOL = 1e-17
 # so 1e-8 keeps the evolution's share of the g2 error near 1e-7, under the
 # 1e-6 that compare mode allows rho's truncation (its pair_tail bound).  At
 # oracle_sweep's last-resort N (dim 120 but for the hull corner) they leak
-# 6.8e-14, 1.6e-17, 2.9e-12 and 1.8e-17.  oracle_sweep also keeps its
-# dim-level basis only when that basis leaks at most this, so the basis it
-# settles on is held to the same bound, and compare mode accepts the same
-# leakage.
+# 6.8e-14, 1.6e-17, 2.9e-12 and 1.8e-17.  oracle_sweep also keeps its first
+# basis, below dim or at it, only when that basis leaks at most this, so the
+# basis it settles on is held to the same bound, and compare mode accepts the
+# same leakage.
 LEAKAGE_TOL = 1e-8
 
-# oracle_sweep's fallback bases hold the levels of rho down to a suffix
-# population below this, first with one vacuum width of margin, then with
-# four.  The population they leave out can at most all reach the basis edge,
-# so it spends 1/100 of the LEAKAGE_TOL budget and leaves the rest to the
-# Gaussian edge of the levels they hold.  Measured on states of the benchmark
+# oracle_sweep's bases hold the levels of rho down to a suffix population
+# below this, first with one vacuum width of margin, then with four.  The
+# population they leave out can at most all reach the basis edge, so it
+# spends 1/100 of the LEAKAGE_TOL budget and leaves the rest to the Gaussian
+# edge of the levels they hold.  Measured on states of the benchmark
 # hull (r <= 0.8, |alpha| <= 1.5, nbar <= 1, tau <= 1) whose basis of dim =
 # 120 or 240 levels leaked, as the leakage at one vacuum width of margin:
 #   38 sweeps, rho well inside dim:  1.5e-12 to 1.7e-10
@@ -146,10 +149,11 @@ class OracleSweep:
     is the population of the top 10% of rho's dim-state basis, and pair_tail
     the share of g2's zero-delay numerator Tr[rho a†² a²] = sum n(n-1) rho_nn
     that those levels hold; it is nan when that numerator is zero.  working_dim
-    is the N the sweep kept: dim, or when dim leaked too much the tight
-    size, or when that leaked too the last resort (see oracle_sweep).  leakage
-    is the largest population, over the delays, that the evolved state
-    rho(tau) puts in the top 10% of the N working levels.
+    is the N the sweep kept: its first basis, which is below dim when rho and
+    its evolution fit in fewer levels, or when that leaked too much dim, the
+    tight size or the last resort (see oracle_sweep).  leakage is the largest
+    population, over the delays, that the evolved state rho(tau) puts in the
+    top 10% of the N working levels.
     """
 
     mean_0: float
@@ -414,18 +418,25 @@ def _real_trace(values: np.ndarray, what: str) -> np.ndarray:
 def _sweep_in(
     rho: np.ndarray, params: HamiltonianParams, taus: np.ndarray, big: int
 ) -> OracleSweep:
-    """oracle_sweep's traces with n(tau) evolved in the lowest `big` >= dim levels."""
+    """oracle_sweep's traces with n(tau) evolved in the lowest `big` levels.
+
+    Below dim = rho.shape[0] the basis holds rho[:big, :big], and a rho a† is
+    built from that crop; mean_0, tail_mass and pair_tail are read from the
+    whole rho either way.
+    """
     dim = rho.shape[0]
+    held = min(dim, big)
     w, v = np.linalg.eigh(hamiltonian_matrix(params, big))
-    v_top = v[:dim].copy()  # rho and a rho a† live on the lowest dim states
+    v_top = v[:held].copy()  # rho and a rho a† live on the lowest held states
     v_edge = v[_edge_start(big) :].copy()
     v *= np.sqrt(np.arange(big, dtype=float))[:, None]  # V† n V = (√n V)† (√n V)
     # a rho a†: rho moved down one level, sqrt(n) weights on both sides.
-    root = np.sqrt(np.arange(1.0, dim))
-    lowered = np.zeros_like(rho)
-    lowered[:-1, :-1] = root[:, None] * rho[1:, 1:] * root
+    cropped = rho[:held, :held]
+    root = np.sqrt(np.arange(1.0, held))
+    lowered = np.zeros_like(cropped)
+    lowered[:-1, :-1] = root[:, None] * cropped[1:, 1:] * root
     # Row j of (V† X V)^T is row j of V_top^T times X^T conj(V_top).
-    rho_right = rho.T @ v_top.conj()
+    rho_right = cropped.T @ v_top.conj()
     lowered_right = lowered.T @ v_top.conj()
     # [Mx | Mr | Me] side by side, so one product per delay block serves all
     # three.  They are filled _BLOCK rows at a time, from row blocks of each
@@ -462,6 +473,18 @@ def _sweep_in(
     return OracleSweep(mean_0, mean_n, numerator, floor, tail_mass, pair_tail, big, float(edge.max()))
 
 
+def _kept_levels(populations: np.ndarray) -> int:
+    """Fewest lowest levels outside which `populations` hold less than eps of each sum.
+
+    The sums are sum p_n, sum n p_n and sum n(n-1) p_n: the trace, and the
+    zero-delay moments g2 is built from; eps is the double-precision machine
+    epsilon.  A sum that is zero keeps every level.
+    """
+    n = np.arange(populations.size)
+    sums = (populations, n * populations, n * (n - 1) * populations)
+    return max(_support(weights, np.finfo(float).eps * weights.sum()) for weights in sums)
+
+
 def oracle_sweep(
     rho: np.ndarray, params: HamiltonianParams, taus: Sequence[float]
 ) -> OracleSweep:
@@ -469,27 +492,44 @@ def oracle_sweep(
 
     rho lives on the lowest dim = rho.shape[0] number states, and n(tau) =
     e^{iH tau} n e^{-iH tau} acts on one working basis for the whole sweep.
-    The sweep first runs in the dim-level basis and keeps it if its leakage
-    is at most LEAKAGE_TOL.  Otherwise it evaluates the flow once and tries
-    up to two larger bases, both holding rho's support (its levels down to a
-    suffix population of _EVOLUTION_SUPPORT_TOL) through the flow's stretch
-    and shift at every delay: the tight size, with one vacuum width of
-    margin, and then the last resort, with four.  It keeps the first whose
-    leakage is at most LEAKAGE_TOL, or else the last resort, and skips a
-    size no larger than the last one run.  A size above _WORKING_DIM_CAP raises TruncationError just
-    before it would run.  So the Hamiltonian is diagonalized once when the
-    dim basis holds the evolution, and at most three times.
+    The sweep evaluates the flow once and sizes its bases from rho's support
+    (its levels down to a suffix population of _EVOLUTION_SUPPORT_TOL) held
+    through the flow's stretch and shift at every delay: the tight size, with
+    one vacuum width of margin, and the last resort, with four.  It first
+    runs in min(dim, max(tight, kept, 2)) levels, kept being the fewest
+    lowest levels of rho outside which rho holds less than eps of its trace,
+    of sum n rho_nn and of sum n(n-1) rho_nn; it starts in dim when the tight
+    size is above _WORKING_DIM_CAP.  When that basis leaks more than
+    LEAKAGE_TOL, it tries dim, then the tight size, then the last resort,
+    skipping a size no larger than the last one run, and keeps the first
+    whose leakage is at most LEAKAGE_TOL, or else the last one run.  A size
+    above _WORKING_DIM_CAP raises TruncationError just before it would run.
+    So the Hamiltonian is diagonalized once when the first basis holds the
+    evolution, and at most three times: a first basis below dim is at least
+    the tight size, which is then skipped.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
         raise ValueError(f"rho must be a square matrix of size >= 2, got shape {rho.shape}")
     taus = _delays(taus)
-    sweep = _sweep_in(rho, params, taus, rho.shape[0])
+    dim = rho.shape[0]
+    populations = rho.diagonal().real
+    support = _support(populations, _EVOLUTION_SUPPORT_TOL)
+    flow = _flow(params, taus)
+
+    try:
+        tight = _evolution_dim(params, taus, support, 1.0, flow)
+    except TruncationError:  # refused below, should the dim basis leak
+        tight = dim
+    sweep = _sweep_in(rho, params, taus, min(dim, max(tight, _kept_levels(populations), 2)))
     if sweep.leakage <= LEAKAGE_TOL:
         return sweep
-    support = _support(rho.diagonal().real, _EVOLUTION_SUPPORT_TOL)
-    flow = _flow(params, taus)
-    for margin in (1.0, 4.0):
-        size = _evolution_dim(params, taus, support, margin, flow)
+
+    def fallbacks():  # sized only as they are reached, so a refusal comes just before its run
+        yield dim
+        for margin in (1.0, 4.0):
+            yield _evolution_dim(params, taus, support, margin, flow)
+
+    for size in fallbacks():
         if size > sweep.working_dim:
             sweep = _sweep_in(rho, params, taus, size)
             if sweep.leakage <= LEAKAGE_TOL:

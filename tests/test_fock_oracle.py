@@ -45,6 +45,9 @@ from g2tau.gaussian_core import PAIR_COUPLING_EPS, alpha_of_tau, coherence_grid,
 from fock_reference import convergence_check, heisenberg_a_matrix, ladder_operators, thermal_rho
 
 
+EPS = np.finfo(float).eps
+
+
 def op_norm(m):
     return np.linalg.norm(m, 2)
 
@@ -498,99 +501,181 @@ class TestSweepSizing:
 
     @staticmethod
     def _fallback_sizes(rho, params, taus):
-        """The tight and last-resort sizes, from the rule written out one delay at a time.
+        """The first, tight and last-resort sizes, from the rule written out one delay at a time.
 
-        Both hold rho's support, its levels down to a suffix population of
-        1e-10, through the flow's stretch and shift, with 1 (tight) or 4 (last
-        resort) vacuum widths of margin, and neither is below dim.
+        The tight and last-resort sizes hold rho's support, its levels down to
+        a suffix population of 1e-10, through the flow's stretch and shift,
+        with 1 (tight) or 4 (last resort) vacuum widths of margin.  The first
+        size is the tight one, raised to the fewest lowest levels outside
+        which rho holds less than eps of each of Tr rho, sum n rho_nn and
+        sum n(n-1) rho_nn (all of them if a sum is zero), and capped at dim.
         """
         dim = rho.shape[0]
         populations = rho.diagonal().real
         support = next((d for d in range(1, dim + 1) if populations[d:].sum() < 1e-10), dim)
-        return [
-            max(dim, *(
-                math.ceil((math.sqrt(support) * math.exp(r_of_tau(params.c, tau)) + margin
+        tight, last = (
+            max(math.ceil((math.sqrt(support) * math.exp(r_of_tau(params.c, tau)) + margin
                            + abs(heisenberg_flow(params.b, params.c, tau).shift)) ** 2)
-                for tau in taus))
+                for tau in taus)
             for margin in (1.0, 4.0)
-        ]
+        )
+        n = np.arange(dim)
+        sums = (populations, n * populations, n * (n - 1) * populations)
+        kept = max(next((d for d in range(dim + 1) if w[d:].sum() < EPS * w.sum()), dim)
+                   for w in sums)
+        return min(dim, max(tight, kept, 2)), tight, last
+
+    @classmethod
+    def _sizes_run(cls, rho, params, taus):
+        """The sizes the rule runs when every basis leaks.
+
+        First the first size, then dim, the tight size and the last resort,
+        each only if it is larger than the last one run.
+        """
+        first, tight, last = cls._fallback_sizes(rho, params, taus)
+        run = [first]
+        for size in (rho.shape[0], tight, last):
+            if size > run[-1]:
+                run.append(size)
+        return run
 
     def test_hull_corner_falls_back_to_the_flow_size(self, monkeypatch):
         # rho fills all 120 levels and its top band holds 1.5e-6, so its
-        # support is all 120 levels: the 120-level basis leaks, the tight
-        # basis, with one vacuum width of margin, leaks 1e-7, and the sweep
-        # evolves once more at the last resort, with four
+        # support is all 120 levels and the tight size is above dim: the sweep
+        # starts at dim, which leaks, the tight basis, with one vacuum width of
+        # margin, leaks 1e-7, and the sweep evolves once more at the last
+        # resort, with four
         nbar, r, theta, alpha = 1.0, 0.8, math.pi, 1.5
         state = GaussianStateParams(alpha=alpha + 0j, xi=SqueezeParam(r, theta), nbar=nbar)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 120, [0.0, 0.5, 1.0]
         rho = gaussian_rho(state, dim)
-        tight, last = self._fallback_sizes(rho, params, taus)
         sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
-        assert sizes == [dim, tight, last] == [120, 723, 893]
-        assert sweep.working_dim == last
+        assert sizes == self._sizes_run(rho, params, taus) == [120, 723, 893]
+        assert sweep.working_dim == 893
         assert abs(sweep.leakage) < 1e-15
 
     def test_state_inside_dim_falls_back_to_the_tight_size(self, monkeypatch):
         # rho's levels above a suffix of 1e-10 are its lowest 56 of 120, so
         # the tight basis, 239 levels, holds the evolution below the last
-        # resort's 340
+        # resort's 340; being above dim, it is not the first basis
         state = GaussianStateParams(alpha=0.8 + 0j, xi=SqueezeParam(0.6, 0.0), nbar=0.3)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 120, [0.0, 0.5, 1.0]
         rho = gaussian_rho(state, dim)
-        tight, last = self._fallback_sizes(rho, params, taus)
+        first, tight, last = self._fallback_sizes(rho, params, taus)
         sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
-        assert sizes == [dim, tight] and (tight, last) == (239, 340)
+        assert sizes == [dim, tight] and (first, tight, last) == (dim, 239, 340)
         assert sweep.working_dim == tight and sweep.leakage <= LEAKAGE_TOL
         reference = coherence_grid(state, params.b, params.c, taus).g2
         np.testing.assert_allclose(sweep.g2, reference, rtol=10 * LEAKAGE_TOL, atol=0)
 
-    def test_contained_state_stays_in_the_dim_basis(self, monkeypatch):
+    def test_contained_state_stays_in_its_first_basis(self, monkeypatch):
+        # rho's support, 40 levels, through the flow with one vacuum width of
+        # margin is 71 levels, well inside dim: one eigensolve there
         state = GaussianStateParams(alpha=0.5 + 0j, xi=SqueezeParam(0.3, 0.0), nbar=0.2)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
-        sweep, sizes = self._counted_sweep(monkeypatch, gaussian_rho(state, 120), params,
-                                           [0.0, 0.5, 1.0])
-        assert sizes == [120]
-        assert sweep.working_dim == 120 and sweep.leakage <= LEAKAGE_TOL
+        rho, taus = gaussian_rho(state, 120), [0.0, 0.5, 1.0]
+        first = self._fallback_sizes(rho, params, taus)[0]
+        sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
+        assert sizes == [first] == [71]
+        assert sweep.working_dim == 71 and sweep.leakage <= LEAKAGE_TOL
+        reference = coherence_grid(state, params.b, params.c, taus).g2
+        np.testing.assert_allclose(sweep.g2, reference, rtol=10 * LEAKAGE_TOL, atol=0)
 
-    def test_contained_state_never_evaluates_the_flow(self, monkeypatch):
-        def unused(*args):
-            raise AssertionError("the flow was evaluated")
+    def test_contained_state_evaluates_the_flow_once(self, monkeypatch):
+        # the flow sizes the first basis: one call over all the delays
+        calls = []
+
+        def counted(function):
+            return lambda *args: calls.append(function.__name__) or function(*args)
 
         state = GaussianStateParams(alpha=0.5 + 0j, xi=SqueezeParam(0.3, 0.0), nbar=0.2)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         rho = gaussian_rho(state, 120)
-        monkeypatch.setattr(fock_oracle, "r_of_tau", unused)
-        monkeypatch.setattr(fock_oracle, "alpha_of_tau", unused)
+        monkeypatch.setattr(fock_oracle, "r_of_tau", counted(r_of_tau))
+        monkeypatch.setattr(fock_oracle, "alpha_of_tau", counted(alpha_of_tau))
         sweep, sizes = self._counted_sweep(monkeypatch, rho, params, np.linspace(0.0, 1.0, 11))
-        assert sizes == [120] and sweep.working_dim == 120
+        assert sorted(calls) == ["alpha_of_tau", "r_of_tau"]
+        assert sizes == [sweep.working_dim] and sweep.working_dim < 120
 
     def test_flow_size_within_dim_makes_one_eigensolve(self, monkeypatch):
         state = GaussianStateParams(alpha=0.2 + 0j, xi=SqueezeParam(0.1, 0.0), nbar=0.05)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         rho, taus = gaussian_rho(state, 120), np.array([0.0, 0.5])
-        assert self._fallback_sizes(rho, params, taus)[1] <= 120  # the case is not vacuous
+        first, _, last = self._fallback_sizes(rho, params, taus)
+        assert last <= 120  # the case is not vacuous
         sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
-        assert sizes == [120] and sweep.working_dim == 120
+        assert sizes == [first] and sweep.working_dim == first < 120
 
-    @pytest.mark.parametrize("nbar, r, theta, alpha, dim, tau_max", [
-        (0.2, 0.3, 0.0, 0.5, 120, 1.0),
-        (0.6, 0.4, 0.0, 1.0, 120, 1.0),  # leaks 4.9e-10 at dim
-        (0.3, 0.4, 1.0, 0.8, 60, 0.5),  # leaks 3.7e-9 at dim
+    @pytest.mark.parametrize("nbar, r, theta, alpha, dim, tau_max, first", [
+        (0.2, 0.3, 0.0, 0.5, 120, 1.0, 71),
+        (0.6, 0.4, 0.0, 1.0, 120, 1.0, 120),  # leaks 4.9e-10 at dim
+        (0.3, 0.4, 1.0, 0.8, 60, 0.5, 60),  # leaks 3.7e-9 at dim
     ])
-    def test_dim_basis_agrees_with_the_flow_size(self, nbar, r, theta, alpha, dim, tau_max,
-                                                 monkeypatch):
+    def test_first_basis_agrees_with_the_flow_size(self, nbar, r, theta, alpha, dim, tau_max,
+                                                   first, monkeypatch):
         # LEAKAGE_TOL's comment table bounds the g2 error by 10x the leakage
         state = GaussianStateParams(alpha=alpha + 0j, xi=SqueezeParam(r, theta), nbar=nbar)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         rho, taus = gaussian_rho(state, dim), np.linspace(0.0, tau_max, 11)
         accepted = oracle_sweep(rho, params, taus)
-        assert accepted.working_dim == dim
+        assert accepted.working_dim == self._fallback_sizes(rho, params, taus)[0] == first
         monkeypatch.setattr(fock_oracle, "LEAKAGE_TOL", -1.0)  # no basis passes
         last = oracle_sweep(rho, params, taus)
-        assert last.working_dim == self._fallback_sizes(rho, params, taus)[1] > dim
+        assert last.working_dim == self._sizes_run(rho, params, taus)[-1] > dim
         np.testing.assert_allclose(accepted.g2, last.g2, rtol=10 * LEAKAGE_TOL, atol=0)
+
+    def test_contained_hull_states_run_below_dim(self, monkeypatch):
+        # states drawn over the benchmark hull (nbar <= 1, r <= 0.8,
+        # |alpha| <= 1.5, tau <= 1) whose first basis is below dim and holds
+        # the evolution: one eigensolve, and g2 within 10x that basis's
+        # leakage of a sweep forced into all dim levels, plus 1e-12 for
+        # roundoff (two contained bases of 120 and 240 levels differ by up to
+        # 4.7e-14 on these draws)
+        rng = np.random.default_rng(4242)
+        dim, taus, contained = 120, np.linspace(0.0, 1.0, 4), 0
+        for _ in range(48):
+            nbar, r, amag = rng.uniform(0.0, [1.0, 0.8, 1.5])
+            theta, phi = rng.uniform(0.0, 2 * math.pi, 2)
+            state = GaussianStateParams(alpha=from_polar(amag, phi), xi=SqueezeParam(r, theta),
+                                        nbar=nbar)
+            params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+            rho = gaussian_rho(state, dim)
+            first = self._fallback_sizes(rho, params, taus)[0]
+            sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
+            monkeypatch.undo()
+            if first == dim or sweep.leakage > LEAKAGE_TOL:
+                continue
+            contained += 1
+            assert sizes == [first] and sweep.working_dim == first
+            forced = fock_oracle._sweep_in(rho, params, taus, dim)
+            np.testing.assert_allclose(sweep.g2, forced.g2, atol=0,
+                                       rtol=10 * sweep.leakage + 1e-12)
+        assert contained >= 16  # the check is not vacuous
+
+    @given(st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=0.8),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.one_of(st.floats(min_value=0.0, max_value=1e-3),
+                     st.floats(min_value=0.0, max_value=1.5)),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.integers(min_value=2, max_value=120))
+    @settings(max_examples=40, deadline=None)
+    def test_dropped_levels_hold_at_most_eps_of_each_sum(self, nbar, r, theta, amag, phi, dim):
+        # a first basis below dim crops rho; the levels it drops hold at most
+        # eps of its trace, of sum n rho_nn and of sum n(n-1) rho_nn
+        state = GaussianStateParams(alpha=from_polar(amag, phi), xi=SqueezeParam(r, theta),
+                                    nbar=nbar)
+        if state.is_vacuum:
+            return
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        rho = gaussian_rho(state, dim)
+        kept = oracle_sweep(rho, params, [0.0, 0.5]).working_dim
+        populations = rho.diagonal().real
+        n = np.arange(dim)
+        for weights in (populations, n * populations, n * (n - 1) * populations):
+            assert weights[kept:].sum() <= EPS * weights.sum()
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=0.5),
@@ -605,10 +690,10 @@ class TestSweepSizing:
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 40, np.linspace(0.0, tau, 5)
         rho = gaussian_rho(state, dim)
-        tight, last = self._fallback_sizes(rho, params, taus)
+        run = self._sizes_run(rho, params, taus)
         sweep = oracle_sweep(rho, params, taus)
-        assert sweep.working_dim in (dim, tight, last)
-        assert sweep.leakage <= LEAKAGE_TOL or sweep.working_dim == last
+        assert sweep.working_dim in run
+        assert sweep.leakage <= LEAKAGE_TOL or sweep.working_dim == run[-1]
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=0.5),
@@ -618,17 +703,17 @@ class TestSweepSizing:
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=20, deadline=None)
     def test_kept_basis_is_the_first_that_passes(self, nbar, r, theta, amag, phi, tau):
-        # each of dim, tight and last resort is evolved on its own; the sweep
-        # keeps the first whose leakage is at most LEAKAGE_TOL, or else the last
+        # each size the rule runs is evolved on its own; the sweep keeps the
+        # first whose leakage is at most LEAKAGE_TOL, or else the last
         state = GaussianStateParams(alpha=from_polar(amag, phi), xi=SqueezeParam(r, theta),
                                     nbar=nbar)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 40, np.linspace(0.0, tau, 5)
         rho = gaussian_rho(state, dim)
-        candidates = [dim, *self._fallback_sizes(rho, params, taus)]
-        expected = next((n for n in candidates
+        run = self._sizes_run(rho, params, taus)
+        expected = next((n for n in run
                          if fock_oracle._sweep_in(rho, params, taus, n).leakage <= LEAKAGE_TOL),
-                        candidates[-1])
+                        run[-1])
         assert oracle_sweep(rho, params, taus).working_dim == expected
 
     @staticmethod

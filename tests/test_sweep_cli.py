@@ -299,20 +299,44 @@ class TestCompareVerdict:
         for name, value in figures.items():
             assert getattr(report.convergence, name) is value
 
-    def test_zero_oracle_g2_prints_no_warning(self, monkeypatch, capsys):
-        # a zero oracle g2 makes the relative error infinite, quietly
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_zero_oracle_g2_prints_no_warning(self, output_format, monkeypatch, capsys):
+        # a zero oracle g2 makes the relative error infinite, quietly; JSON
+        # writes it as null, since Infinity is not JSON
         def zero_numerator(rho, params, taus):
             sweep = oracle_sweep(rho, params, taus)
             return dataclasses.replace(sweep, numerator=np.zeros_like(sweep.numerator))
 
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
         monkeypatch.setattr(sweep_cli, "oracle_sweep", zero_numerator)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["--nbar", "0.4", "--mode", "compare", "--steps", "2"])
+            code = main(["--nbar", "0.4", "--mode", "compare", "--steps", "2",
+                         "--format", output_format])
         assert code == EXIT_COMPARE
-        assert capsys.readouterr().err == (
-            "g2tau: comparison failed: max_rel_err=inf converged=True\n"
-        )
+        captured = capsys.readouterr()
+        assert captured.err == "g2tau: comparison failed: max_rel_err=inf converged=True\n"
+        if output_format == "json":
+            report = json.loads(captured.out, parse_constant=refuse)["metadata"]["report"]
+            assert report["max_rel_err"] is None and report["max_abs_err"] > 0.0
+
+    def test_undefined_worst_error_fails_the_comparison(self, monkeypatch, capsys):
+        # 0/0 relative errors make max_rel_err nan: a comparison that cannot
+        # be scored exits 3, and JSON writes the figure as null
+        def zero_columns(grid, sweep):
+            return np.zeros_like(grid.g2), np.zeros_like(grid.g2)
+
+        monkeypatch.setattr(sweep_cli, "_oracle_columns", zero_columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--nbar", "0.4", "--mode", "compare", "--steps", "2",
+                         "--format", "json"])
+        assert code == EXIT_COMPARE
+        captured = capsys.readouterr()
+        assert captured.err == "g2tau: comparison failed: max_rel_err=nan converged=True\n"
+        assert json.loads(captured.out)["metadata"]["report"]["max_rel_err"] is None
 
 
 class TestMainExitCodes:
@@ -471,6 +495,17 @@ class TestMainExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith(f"g2tau: truncation failed: pair_tail={pair_tail}:")
 
+    def test_oracle_resolves_a_weak_coherent_state(self, capsys):
+        # |alpha|² = 1e-6: g2's numerator, about 1e-12, lies on levels whose
+        # population is below the support's 1e-10, and the first basis keeps them
+        argv = ["--alpha-mag", "1e-3", "--oracle-dim", "40", "--mode", "oracle",
+                "--steps", "4", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["metadata"]["working_dim"] < 40
+        g2_column = np.array([sample["g2"] for sample in doc["samples"]])
+        assert np.abs(g2_column - 1.0).max() <= 1e-8
+
     def test_oracle_leakage_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(fock_oracle, "_evolution_dim", lambda *args: 70)
         code = main(["--nbar", "0.3", "--r", "0.4", "--alpha-mag", "0.8", "--mode", "oracle",
@@ -623,7 +658,9 @@ class TestOutput:
         assert report["max_rel_err"] < 1e-5
         assert "g2_oracle" in doc["samples"][0]
         convergence = report["convergence"]
-        assert convergence["working_dim"] == doc["metadata"]["working_dim"] >= 120
+        # thermal light at nbar 0.4 holds all but eps of its three sums in its
+        # lowest 32 levels, and free evolution keeps it there
+        assert convergence["working_dim"] == doc["metadata"]["working_dim"] == 32
         assert convergence["leakage"] == doc["metadata"]["leakage"] < LEAKAGE_TOL
 
     @pytest.mark.parametrize("mode", ["oracle", "compare"])
