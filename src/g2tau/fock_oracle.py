@@ -9,19 +9,16 @@ dataclasses (the closed-form flow is only consulted to *size* the working
 space, never for the evolved values), so agreement between the two is a
 real cross-check rather than a tautology.
 
-The state is prepared in a working space enlarged enough that squeeze
-stretch and displacement stay inside the basis, then cropped to the
-requested dimension `dim`; the remaining error is set by the state's own
-Fock tail, which every sweep reads from rho's diagonal twice: as the
-population of rho's top 10% levels (tail_mass), and as the share of g2's
-zero-delay numerator sum n(n-1) rho_nn that those levels hold (pair_tail).
-The displacement is built from its exact Fock matrix elements (associated
-Laguerre polynomials, by a stable recurrence), and the squeeze from its
-exact matrix elements (a neutrally stable recurrence along each diagonal),
-so preparing the state makes no eigensolve; only the columns of S that
-the thermal weights keep are built.  Every working basis is sized from the
-exact stretch and shift it must hold, and one that would exceed
-_WORKING_DIM_CAP raises TruncationError when it is about to be built.
+The state's entries on the lowest `dim` number states are those of the
+untruncated state, each from the Gaussian state's Fock recurrence in
+(nbar, r, theta, alpha), with no working space beyond `dim`, no matrix
+product and no eigensolve (see gaussian_rho).  So the remaining error is set
+by the state's own Fock tail, which every sweep reads from rho's diagonal
+twice: as the population of rho's top 10% levels (tail_mass), and as the
+share of g2's zero-delay numerator sum n(n-1) rho_nn that those levels hold
+(pair_tail).  A state that would need more than _WORKING_DIM_CAP levels to
+hold `dim` levels through its squeeze and shift is still refused with
+TruncationError, as is every evolution basis sized above the cap.
 
 A delay sweep (:func:`oracle_sweep`) evolves rho in one working basis of N
 states at a time.  It evaluates the closed-form flow once and sizes its
@@ -52,6 +49,7 @@ outlives the call.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,8 +68,6 @@ __all__ = [
     "LEAKAGE_TOL",
     "TruncationError",
     "OracleSweep",
-    "displacement",
-    "squeeze",
     "gaussian_rho",
     "hamiltonian_matrix",
     "oracle_sweep",
@@ -84,9 +80,6 @@ _IMAG_TOL = 1e-8
 # Delays, or rows of its bilinear forms, per matrix product in oracle_sweep;
 # its scratch is O(_BLOCK * N) however many delays a sweep has.
 _BLOCK = 64
-
-# gaussian_rho keeps the thermal levels down to a suffix population below this.
-_SUPPORT_TOL = 1e-17
 
 # Largest trusted leakage (see OracleSweep).  Measured with the evolution
 # basis forced below its sized N, 41 delays each, the worst g2 relative error
@@ -130,9 +123,9 @@ _EVOLUTION_SUPPORT_TOL = LEAKAGE_TOL / 100
 class TruncationError(Exception):
     """The oracle's truncation cannot be trusted, so it gives no numbers.
 
-    Raised here when a working basis would exceed _WORKING_DIM_CAP, and by
-    the CLI when a sweep's pair_tail, tail mass or leakage is above its
-    threshold.
+    Raised here when a state (see gaussian_rho) or a working basis of a
+    sweep would need more than _WORKING_DIM_CAP levels, and by the CLI when
+    a sweep's pair_tail, tail mass or leakage is above its threshold.
     """
 
 
@@ -220,110 +213,7 @@ def _working_dim(dim: int, stretch_r: float, shift_mag: float, margin: float = 4
     return max(dim, math.ceil(needed))
 
 
-def displacement(alpha: complex, dim: int, rows: int | None = None) -> np.ndarray:
-    """Rows 0..rows-1 (default all) of D(alpha) = exp(alpha a† - alpha* a) on `dim` states.
-
-    Every entry is the exact matrix element of the untruncated operator
-    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), so the full matrix is
-    unitary up to the weight D moves past `dim`; with x = |alpha|²,
-
-        <m|D|m+k> = f_m^(k) (-alpha*/|alpha|)^k,   <m+k|D|m> = f_m^(k) (alpha/|alpha|)^k,
-        f_m^(k)   = sqrt(m!/(m+k)!) |alpha|^k e^{-x/2} L_m^(k)(x).
-
-    f_0^(k) is formed in log space, and every diagonal offset k is carried
-    up in m at once by the Laguerre three-term recurrence rescaled to f:
-
-        sqrt((m+1)(m+1+k)) f_{m+1} = (2m+1+k-x) f_m - sqrt(m(m+k)) f_{m-1}.
-
-    The polynomial is the dominant solution of that recurrence wherever it
-    is not oscillatory, so the upward run is stable; a recurrence along
-    rows or columns of D itself is not.
-    """
-    _require_dim(dim)
-    alpha = complex(alpha)
-    rows = dim if rows is None else rows
-    out = np.zeros((rows, dim), dtype=complex)
-    mag = abs(alpha)
-    if mag == 0.0:
-        out[np.arange(rows), np.arange(rows)] = 1.0
-        return out
-    x = mag * mag
-    k = np.arange(dim, dtype=float)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(dim)])
-    f = np.exp(k * math.log(mag) - 0.5 * x - 0.5 * log_fact)
-    f_prev = np.zeros(dim)
-    unit = alpha / mag
-    above = np.cumprod(np.r_[1.0, np.full(dim - 1, -np.conjugate(unit))])  # (-alpha*/|alpha|)^k
-    below = np.cumprod(np.r_[1.0, np.full(rows - 1, unit)])  # (alpha/|alpha|)^k
-    for m in range(rows):
-        out[m, m:] = f[: dim - m] * above[: dim - m]
-        out[m + 1 :, m] = f[1 : rows - m] * below[1 : rows - m]
-        f_next = (2 * m + 1 + k - x) * f - np.sqrt(m * (m + k)) * f_prev
-        f_prev, f = f, f_next / np.sqrt((m + 1) * (m + 1 + k))
-    return out
-
-
-def squeeze(xi: complex, dim: int, cols: int | None = None) -> np.ndarray:
-    """Columns 0..cols-1 (default all) of S(xi) = exp((xi*/2) a² - (xi/2) a†²) on `dim` states.
-
-    Every entry is the exact matrix element of the untruncated operator, so
-    the full matrix is unitary up to the weight S moves past `dim`.  With
-    xi = r e^{i theta}, s = sech r and t = e^{i theta} tanh r, S couples n
-    only to n ± 2l, and from its disentangled form
-    exp(-(t/2) a†²) s^{a†a + 1/2} exp((t*/2) a²)
-
-        <n+2l|S|n> = sqrt(s) (-t/2)^l f_n^(l),   <n|S|n+2l> = sqrt(s) (t*/2)^l f_n^(l),
-        f_0^(l)    = sqrt((2l)!) / l!
-
-    (cf. Miatto & Quesada, Quantum 4, 366 (2020); The Walrus, JOSS 4, 1705
-    (2019)).  sqrt(s) |t/2|^l f_0^(l) is formed in log space, and every
-    offset l is carried up in n at once by
-
-        sqrt((n+1)(n+1+2l)) f_{n+1} = s (2n+1+2l) f_n - sqrt(n(n+2l)) f_{n-1}.
-
-    Its argument s lies in (0, 1], the oscillatory region, so the upward run
-    is neutrally stable, as Legendre's is; recurrences along rows or columns
-    of S itself drift by orders of magnitude more.
-    """
-    _require_dim(dim)
-    xi = complex(xi)
-    cols = dim if cols is None else cols
-    out = np.zeros((dim, cols), dtype=complex)
-    r = abs(xi)
-    if r == 0.0:
-        out[np.arange(cols), np.arange(cols)] = 1.0
-        return out
-    log_s = math.log(2.0) - r - math.log1p(math.exp(-2.0 * r))  # log sech r, finite at any r
-    s = math.exp(log_s)
-    offsets = (dim + 1) // 2
-    pairs = np.arange(offsets, dtype=float)  # l
-    k = 2.0 * pairs
-    log_f0 = [0.5 * math.lgamma(2 * j + 1.0) - math.lgamma(j + 1.0) for j in range(offsets)]
-    log_half_t = math.log(math.tanh(r)) - math.log(2.0)  # tanh r / 2 underflows for subnormal r
-    f = np.exp(0.5 * log_s + pairs * log_half_t + np.array(log_f0))
-    f_prev = np.zeros(offsets)
-    unit = xi / r
-    below = np.cumprod(np.r_[1.0, np.full(offsets - 1, -unit)])  # (-t/|t|)^l
-    above = np.cumprod(np.r_[1.0, np.full(offsets - 1, np.conjugate(unit))])  # (t*/|t|)^l
-    for n in range(cols):
-        down = (dim - n + 1) // 2
-        across = (cols - n + 1) // 2
-        out[n::2, n] = f[:down] * below[:down]
-        out[n, n + 2 :: 2] = f[1:across] * above[1:across]
-        f_next = s * (2 * n + 1 + k) * f - np.sqrt(n * (n + k)) * f_prev
-        f_prev, f = f, f_next / np.sqrt((n + 1) * (n + 1 + k))
-    return out
-
-
-def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
-    _require_dim(dim)
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    weights = (nbar / (nbar + 1.0)) ** np.arange(dim)
-    return weights / weights.sum()
-
-
-def _support(populations: np.ndarray, tol: float = _SUPPORT_TOL) -> int:
+def _support(populations: np.ndarray, tol: float) -> int:
     """Smallest d whose levels d, d+1, ... hold less than `tol` of `populations`."""
     suffix = np.cumsum(populations[::-1])[::-1]
     below = np.flatnonzero(suffix < tol)
@@ -331,30 +221,88 @@ def _support(populations: np.ndarray, tol: float = _SUPPORT_TOL) -> int:
 
 
 def gaussian_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
-    """Density matrix D S rho_thermal S† D†, re-hermitized and renormalized.
+    """Density matrix D(alpha) S(xi) rho_thermal S† D† on the lowest `dim` number states.
 
-    Prepared in a working space wide enough for the squeeze stretch and the
-    displacement, then cropped to the lowest-dim block, so the entries agree
-    with the infinite-dimensional state up to its own tail mass: the same
-    product built directly at `dim` has its edge rows corrupted by the
-    truncated operator products.  Only the K columns of S that carry thermal
-    weight are built, K the support of the weights at _SUPPORT_TOL, and no
-    eigensolve is made.  Each call returns a new array.
+    A Gaussian rho has a Gaussian generating function (Miatto & Quesada,
+    Quantum 4, 366 (2020)),
+
+        sum_mn rho_mn z1^m z2^n / sqrt(m! n!) = T exp(A11 z1²/2 + A12 z1 z2 + A22 z2²/2 + g1 z1 + g2 z2),
+
+    so row 0 follows from rho_00 = T by sqrt(n+1) rho_{0,n+1} = g2 rho_0n +
+    A22 sqrt(n) rho_{0,n-1}, and each later row from the two above it by
+
+        sqrt(m+1) rho_{m+1,n} = g1 rho_mn + A11 sqrt(m) rho_{m-1,n} + A12 sqrt(n) rho_{m,n-1}.
+
+    With nu = nbar + 1/2, u = nu e^{2r} + 1/2 and w = nu e^{-2r} + 1/2, so
+    that u w = nu² + nu cosh 2r + 1/4 = det sigma_Q,
+
+        A11 = -e^{i theta} nu sinh(2r) / (u w),  A22 = A11*,  A12 = nbar (nbar+1) / (u w),
+        B12 = 1 - A12 = (1/u + 1/w) / 2,  g1 = B12 alpha - A11 alpha*,  g2 = g1*,
+        T = exp(Re(A11 alpha*²) - B12 |alpha|²) / sqrt(u w).
+
+    These closed forms need no inverse of sigma_Q (a 2x2 solve returns A12 =
+    1.5e-11 for the exact 0 at r 6) and stay finite at any nbar.  So every
+    entry is that of the untruncated state, built in O(dim²) with no matrix
+    product and no eigensolve; the crop is then re-hermitized and
+    renormalized by its trace.
+
+    Each row is carried scaled by a power of two, which rounds nothing above
+    the subnormal range, and the recurrence starts from 1 in place of T,
+    which underflows once |alpha|² is above about 745.  T enters only the
+    crop's population, taken in log space: a crop holding less than the
+    smallest normal float of the state holds none of it, and g2 is undefined
+    (UndefinedCoherenceError).  Each call returns a new array.
     """
     _require_dim(dim)
-    big = _working_dim(dim, state.xi.r, abs(state.alpha))
-    weights = _thermal_weights(state.nbar, big)
-    kept = _support(weights)
-    prep_top = displacement(state.alpha, big, rows=dim) @ squeeze(state.xi.xi, big, cols=kept)
-    rho = (prep_top * weights[:kept]) @ prep_top.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+    # rho needs no larger basis, but oracle mode's gates pass some of the
+    # states this refuses with a wrong g2 (r 1.6 at tau_max 0.01 by 1.25e-3),
+    # so they stay refused until a gate on pair_tail refuses them.
+    _working_dim(dim, state.xi.r, abs(state.alpha))
+    nbar, r, alpha = state.nbar, state.xi.r, complex(state.alpha)
+    nu = nbar + 0.5
+    u = nu * math.exp(2.0 * r) + 0.5
+    w = nu * math.exp(-2.0 * r) + 0.5
+    a11 = -cmath.exp(1j * state.xi.theta) * (nu / u) * (math.sinh(2.0 * r) / w)
+    a12 = (nbar / u) * ((nbar + 1.0) / w)
+    b12 = 0.5 * (1.0 / u + 1.0 / w)
+    g1 = b12 * alpha - a11 * alpha.conjugate()
+    log_t = (a11 * alpha.conjugate() ** 2).real - b12 * abs(alpha) ** 2 - 0.5 * (math.log(u) + math.log(w))
+
+    root = np.sqrt(np.arange(dim, dtype=float))
+    roots = root.tolist()
+    # On a grid over the cap's boundary row 0 stays below e^379 of its start
+    # (e^709 overflows), so it is not scaled.
+    g2, a22 = g1.conjugate(), a11.conjugate()
+    row = [1.0 + 0j, g2]
+    for n in range(1, dim - 1):
+        row.append((g2 * row[n] + a22 * roots[n] * row[n - 1]) / roots[n + 1])
+    rows = np.empty((dim, dim), dtype=complex)
+    rows[0] = row
+    exps = []  # row m of rho / T is rows[m] * 2**exps[m]
+    for m in range(dim):
+        top = max(exps[-2:], default=0)
+        if m:
+            down = math.ldexp(1.0 / roots[m], exps[m - 1] - top)
+            np.multiply(rows[m - 1], g1 * down, out=rows[m])
+            rows[m, 1:] += (a12 * down * root[1:]) * rows[m - 1, :-1]
+        if m > 1:
+            rows[m] += (a11 * math.ldexp(roots[m - 1] / roots[m], exps[m - 2] - top)) * rows[m - 2]
+        # bounded below so that the factor stays finite on a subnormal row
+        scale = max(math.frexp(float(np.abs(rows[m].view(float)).max()))[1], -1000)
+        rows[m] *= math.ldexp(1.0, -scale)
+        exps.append(top + scale)
+
+    rows *= np.exp2(np.array(exps, dtype=float) - max(exps))[:, None]
+    rho = np.conj(rows.T, order="C")  # rho†, laid out to be added fast
+    rho += rows
+    rho *= 0.5
     trace = np.trace(rho).real
-    if not np.finfo(float).tiny <= trace < math.inf:
+    log_population = log_t + max(exps) * math.log(2.0) + math.log(trace) if trace > 0.0 else -math.inf
+    if not log_population >= math.log(np.finfo(float).tiny):
         raise UndefinedCoherenceError(
-            f"g2 is undefined: the lowest {dim} of the oracle's {big} working number "
-            "states hold none of the state"
+            f"g2 is undefined: the oracle's lowest {dim} number states hold none of the state"
         )
-    rho /= trace
+    rho *= 1.0 / trace
     return rho
 
 

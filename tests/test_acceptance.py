@@ -44,10 +44,16 @@ from g2tau import (
     state_from_hamiltonian,
 )
 from g2tau.gaussian_core import coherence_grid
-from g2tau.fock_oracle import displacement, oracle_sweep, squeeze
+from g2tau.fock_oracle import oracle_sweep
 from g2tau.sweep_cli import EXIT_COMPARE, EXIT_OK, EXIT_UNDEFINED, EXIT_USAGE, main
 
-from fock_reference import convergence_check, heisenberg_a_matrix, ladder_operators
+from fock_reference import (
+    convergence_check,
+    displacement,
+    heisenberg_a_matrix,
+    ladder_operators,
+    squeeze,
+)
 
 # --- the evaluation grid -----------------------------------------------------
 

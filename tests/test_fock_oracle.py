@@ -1,8 +1,8 @@
 """Brute-force Fock-space layer: ladder matrices, state construction,
 Hamiltonian evolution by explicit matrix exponential, and trace formulas.
-The ladder matrices, the hand-built thermal rho, the evolved annihilation
-operator and the dimension-doubling check come from the test reference
-`fock_reference.py`.
+The ladder matrices, D(alpha) and S(xi), the hand-built thermal rho, the
+state prepared from them, the evolved annihilation operator and the
+dimension-doubling check come from the test reference `fock_reference.py`.
 
 These tests pin the oracle against textbook values computed independently
 (hyperbolic identities, geometric sums, known overlaps) so the oracle can in
@@ -35,14 +35,20 @@ from g2tau.fock_oracle import (
     LEAKAGE_TOL,
     TruncationError,
     _working_dim,
-    displacement,
     hamiltonian_matrix,
     oracle_sweep,
-    squeeze,
 )
 from g2tau.gaussian_core import PAIR_COUPLING_EPS, alpha_of_tau, coherence_grid, r_of_tau
 
-from fock_reference import convergence_check, heisenberg_a_matrix, ladder_operators, thermal_rho
+from fock_reference import (
+    convergence_check,
+    displacement,
+    heisenberg_a_matrix,
+    ladder_operators,
+    reference_rho,
+    squeeze,
+    thermal_rho,
+)
 
 
 EPS = np.finfo(float).eps
@@ -277,7 +283,7 @@ class TestGaussianRho:
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
     def test_no_eigensolve(self, monkeypatch):
-        # D and S both come from their exact matrix elements
+        # every entry comes from the Fock recurrence
         eigh = np.linalg.eigh
         sizes = []
 
@@ -290,6 +296,35 @@ class TestGaussianRho:
                                     xi=SqueezeParam(0.6, 1.0), nbar=0.5)
         gaussian_rho(state, 120)
         assert sizes == []
+
+    def test_matches_the_prepared_state(self, monkeypatch):
+        # the recurrence against D S rho_thermal S† D† prepared in a working
+        # space and cropped, on seeded draws over the benchmark hull (nbar <= 1,
+        # r <= 0.8, |alpha| <= 1.5) and out to |alpha| 8.5, at dims 2-240.  The
+        # reference's products cancel where its crop holds little of the state:
+        # at |alpha| 8.2 and 3 levels, holding 2e-12 of it, the reference is
+        # 2e-7 off a 60-digit evaluation that gaussian_rho meets within 7e-17.
+        # So a draw is compared only where its crop holds at least 1e-6 of the
+        # state, read from the reference at 240 levels.
+        rng = np.random.default_rng(2101)
+        compared = 0
+        for amag_max in [1.5] * 24 + [8.5] * 24:
+            nbar, r, amag = rng.uniform(0.0, [1.0, 0.8, amag_max])
+            theta, phi = rng.uniform(0.0, 2 * math.pi, 2)
+            dim = int(rng.integers(2, 241))
+            state = GaussianStateParams(alpha=from_polar(amag, phi), xi=SqueezeParam(r, theta),
+                                        nbar=nbar)
+            if reference_rho(state, 240).diagonal().real[:dim].sum() < 1e-6:
+                continue
+            compared += 1
+            assert np.abs(gaussian_rho(state, dim) - reference_rho(state, dim)).max() <= 1e-12
+        assert compared >= 40  # the check is not vacuous
+        # and one large state: 1000 levels of nbar 5, r 0.45, |alpha| 15 need
+        # 4706 to prepare, so the cap is raised for both builders
+        monkeypatch.setattr(fock_oracle, "_WORKING_DIM_CAP", 5000)
+        state = GaussianStateParams(alpha=from_polar(15.0, 0.7), xi=SqueezeParam(0.45, 2.0),
+                                    nbar=5.0)
+        assert np.abs(gaussian_rho(state, 1000) - reference_rho(state, 1000)).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", [1, 0, -1])
     @pytest.mark.parametrize("build", [
@@ -779,8 +814,8 @@ class TestConvergenceCheck:
         assert report.g2_rel_change < 1e-6
 
     def test_hard_squeezing_flagged_at_small_dim(self):
-        # r 2.5 needs 6569 levels to prepare 40 and 12761 to prepare the
-        # doubled 80: refused at the cap
+        # r 2.5 needs 6569 levels to hold 40 through its squeeze and 12761
+        # to hold the doubled 80: refused at the cap
         state = GaussianStateParams(alpha=0j, xi=SqueezeParam(2.5, 0.0), nbar=0.0)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         with pytest.raises(TruncationError, match=f"cap of {_WORKING_DIM_CAP}"):

@@ -227,7 +227,7 @@ class TestRunCompare:
         assert report.convergence.converged
 
     def test_under_resolved_oracle_is_flagged(self):
-        # preparing 40 levels of r 2.5 needs 6569 working levels: refused
+        # holding 40 levels of r 2.5 through its squeeze needs 6569: refused
         config = config_from("--r", "2.5", "--mode", "compare", "--oracle-dim", "40",
                              "--steps", "2", "--tau-max", "0.1")
         with pytest.raises(TruncationError, match="cap of 3072"):
@@ -409,14 +409,20 @@ class TestMainExitCodes:
         for reference, row in zip(closed, oracle):
             assert abs(row["g2"] - reference["g2"]) <= 1e-8 * abs(reference["g2"])
 
-    @pytest.mark.parametrize("mode", ["oracle", "compare"])
-    def test_state_outside_the_oracle_basis_is_undefined(self, mode, capsys):
-        # |alpha| = 40 puts the state far past the lowest 2 of its 2063
-        # working levels, so the block that is kept has zero trace
+    @pytest.mark.parametrize("mode, dim", [
+        pytest.param("oracle", "2", id="oracle"),
+        pytest.param("compare", "2", id="compare"),
+        pytest.param("oracle", "16", id="oracle-dim16"),
+        pytest.param("compare", "16", id="compare-dim16"),
+    ])
+    def test_state_outside_the_oracle_basis_is_undefined(self, mode, dim, capsys):
+        # |alpha| = 40 puts the state so far past the lowest 2 or 16 levels
+        # that they hold less than the smallest normal float of it (e^-1517
+        # at 16), and rho_00 = e^-1600 underflows on its own
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["--alpha-mag", "40", "--mode", mode,
-                         "--oracle-dim", "2", "--steps", "2"])
+                         "--oracle-dim", dim, "--steps", "2"])
         assert code == EXIT_UNDEFINED
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -430,6 +436,9 @@ class TestMainExitCodes:
         (["--r", "2.5", "--oracle-dim", "40", "--tau-max", "0.1"], 6569),
         # the tight evolution basis, not rho's: the first size that would run
         (["--r", "0.3", "--tau-max", "12"], 23074),
+        # rho itself needs no such basis, but without the refusal oracle mode
+        # passes this state with g2 off by 1.25e-3
+        (["--r", "1.6", "--tau-max", "0.01"], 3394),
     ])
     def test_basis_above_the_cap_is_refused(self, argv, needed, mode, capsys):
         with warnings.catch_warnings():
@@ -448,11 +457,17 @@ class TestMainExitCodes:
         pytest.param(["--alpha-mag", "13", "--steps", "2"], "tail_mass=", id="argv0"),
         pytest.param(["--r", "2.5", "--oracle-dim", "40", "--steps", "2", "--tau-max", "0.1"],
                      "cap of 3072", id="argv1"),
+        # rho_00 = e^-900 underflows, yet the lowest 120 levels hold e^-543
+        # of the state, nearly all of it in their top 10%
+        pytest.param(["--alpha-mag", "30", "--steps", "2"], "tail_mass=", id="argv2"),
     ])
     def test_oracle_truncation_failure(self, argv, named, capsys):
-        # the state reaches the top of the oracle_dim basis, or preparing it
+        # the state reaches the top of the oracle_dim basis, or holding it
         # needs more than the cap: no rows, exit 3
-        assert main(argv + ["--mode", "oracle"]) == EXIT_COMPARE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--mode", "oracle"])
+        assert code == EXIT_COMPARE
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -659,8 +674,9 @@ class TestOutput:
         assert "g2_oracle" in doc["samples"][0]
         convergence = report["convergence"]
         # thermal light at nbar 0.4 holds all but eps of its three sums in its
-        # lowest 32 levels, and free evolution keeps it there
-        assert convergence["working_dim"] == doc["metadata"]["working_dim"] == 32
+        # lowest 36 levels (sum n(n-1) rho_nn sets it), and free evolution
+        # keeps it there
+        assert convergence["working_dim"] == doc["metadata"]["working_dim"] == 36
         assert convergence["leakage"] == doc["metadata"]["leakage"] < LEAKAGE_TOL
 
     @pytest.mark.parametrize("mode", ["oracle", "compare"])
