@@ -24,14 +24,12 @@ A delay sweep (:func:`oracle_sweep`) evolves rho in one working basis of N
 states at a time.  It evaluates the closed-form flow once and sizes its
 bases from it, each holding rho's levels down to a suffix population of
 _EVOLUTION_SUPPORT_TOL: a tight one with one vacuum width of margin, and the
-last resort with four, the most it ever uses.  It first tries the tight
-size, raised to the levels that hold all but eps of g2's sums and capped at
-dim, the levels rho lives on; a basis below dim evolves the lowest N-level
-block of rho.  It keeps that result when its measured leakage (below) is at
-most LEAKAGE_TOL, and otherwise tries dim, the tight size and the last
-resort in turn, keeping the first that leaks at most LEAKAGE_TOL, or else
-the last one run.  In each basis one eigendecomposition H = V diag(w) V†
-serves every delay:
+last resort with four, the most it ever uses.  It first evolves in the tight
+size, raised to the levels that hold all but eps of g2's sums; a basis below
+dim evolves the lowest N-level block of rho.  It keeps that result when its
+measured leakage (below) is at most LEAKAGE_TOL, and otherwise evolves once
+more at the last resort.  In each basis one eigendecomposition
+H = V diag(w) V† serves every delay:
 with the phases Phi = exp(i tau w), n the number operator on the working
 basis and V_edge the rows of V for its top 10% levels,
 
@@ -90,11 +88,11 @@ _BLOCK = 64
 #   |alpha| 3, r 0.5, tau <= 2:  6.8e-6, 1.7e-7, 4.7e-9 -> 6.8e-7, 1.4e-8, 2.8e-10
 # so 1e-8 keeps the evolution's share of the g2 error near 1e-7, under the
 # 1e-6 that compare mode allows rho's truncation (its pair_tail bound).  At
-# oracle_sweep's last-resort N (dim 120 but for the hull corner) they leak
-# 6.8e-14, 1.6e-17, 2.9e-12 and 1.8e-17.  oracle_sweep also keeps its first
-# basis, below dim or at it, only when that basis leaks at most this, so the
-# basis it settles on is held to the same bound, and compare mode accepts the
-# same leakage.
+# oracle_sweep's last-resort N, for rho on 120 levels (240 for the hull
+# corner), they leak 6.8e-14, 1.6e-17, 2.9e-12 and 1.8e-17.  oracle_sweep
+# keeps its first basis only when that basis leaks at most this, so the basis
+# it settles on is held to the same bound, and compare mode accepts the same
+# leakage.
 LEAKAGE_TOL = 1e-8
 
 # oracle_sweep's bases hold the levels of rho down to a suffix population
@@ -102,8 +100,9 @@ LEAKAGE_TOL = 1e-8
 # population they leave out can at most all reach the basis edge, so it
 # spends 1/100 of the LEAKAGE_TOL budget and leaves the rest to the Gaussian
 # edge of the levels they hold.  Measured on states of the benchmark
-# hull (r <= 0.8, |alpha| <= 1.5, nbar <= 1, tau <= 1) whose basis of dim =
-# 120 or 240 levels leaked, as the leakage at one vacuum width of margin:
+# hull (r <= 0.8, |alpha| <= 1.5, nbar <= 1, tau <= 1) whose evolution
+# leaked out of rho's dim = 120 or 240 levels, as the leakage at one vacuum
+# width of margin:
 #   38 sweeps, rho well inside dim:  1.5e-12 to 1.7e-10
 #   23 sweeps, rho filling dim with 4e-9 to 1.4e-7 in its top 10%:  2.2e-12 to 4.8e-9
 #     (one of them leaks 4.3e-8 with no margin)
@@ -143,10 +142,10 @@ class OracleSweep:
     the share of g2's zero-delay numerator Tr[rho a†² a²] = sum n(n-1) rho_nn
     that those levels hold; it is nan when that numerator is zero.  working_dim
     is the N the sweep kept: its first basis, which is below dim when rho and
-    its evolution fit in fewer levels, or when that leaked too much dim, the
-    tight size or the last resort (see oracle_sweep).  leakage is the largest
-    population, over the delays, that the evolved state rho(tau) puts in the
-    top 10% of the N working levels.
+    its evolution fit in fewer levels and above it when the evolution needs
+    more, or the last resort when that basis leaked too much (see
+    oracle_sweep).  leakage is the largest population, over the delays, that
+    the evolved state rho(tau) puts in the top 10% of the N working levels.
     """
 
     mean_0: float
@@ -339,21 +338,14 @@ def _flow(params: HamiltonianParams, taus: np.ndarray) -> tuple[list[float], lis
         return r_of_tau(params.c, taus).tolist(), alpha_of_tau(params.b, params.c, taus).tolist()
 
 
-def _evolution_dim(
-    params: HamiltonianParams,
-    taus: np.ndarray,
-    dim: int,
-    margin: float = 4.0,
-    flow: tuple[list[float], list[complex]] | None = None,
-) -> int:
+def _evolution_dim(flow: tuple[list[float], list[complex]], dim: int, margin: float) -> int:
     """Working dimension holding `dim` levels through the flow at every delay.
 
-    flow is _flow(params, taus), evaluated here unless the caller holds it;
-    _working_dim then sizes each delay in turn with `margin` vacuum widths,
-    so the first delay above the cap is the one refused.
+    flow is _flow(params, taus); _working_dim sizes each delay in turn with
+    `margin` vacuum widths, so the first delay above the cap is the one
+    refused.
     """
-    stretches, shifts = _flow(params, taus) if flow is None else flow
-    return max(_working_dim(dim, r, abs(s), margin) for r, s in zip(stretches, shifts))
+    return max(_working_dim(dim, r, abs(s), margin) for r, s in zip(*flow))
 
 
 def _real_trace(values: np.ndarray, what: str) -> np.ndarray:
@@ -444,44 +436,27 @@ def oracle_sweep(
     (its levels down to a suffix population of _EVOLUTION_SUPPORT_TOL) held
     through the flow's stretch and shift at every delay: the tight size, with
     one vacuum width of margin, and the last resort, with four.  It first
-    runs in min(dim, max(tight, kept, 2)) levels, kept being the fewest
-    lowest levels of rho outside which rho holds less than eps of its trace,
-    of sum n rho_nn and of sum n(n-1) rho_nn; it starts in dim when the tight
-    size is above _WORKING_DIM_CAP.  When that basis leaks more than
-    LEAKAGE_TOL, it tries dim, then the tight size, then the last resort,
-    skipping a size no larger than the last one run, and keeps the first
-    whose leakage is at most LEAKAGE_TOL, or else the last one run.  A size
-    above _WORKING_DIM_CAP raises TruncationError just before it would run.
-    So the Hamiltonian is diagonalized once when the first basis holds the
-    evolution, and at most three times: a first basis below dim is at least
-    the tight size, which is then skipped.
+    runs in max(tight, kept, 2) levels, kept being the fewest lowest levels
+    of rho outside which rho holds less than eps of its trace, of
+    sum n rho_nn and of sum n(n-1) rho_nn.  When that basis leaks more than
+    LEAKAGE_TOL, it runs once more at the last resort if that is larger, and
+    keeps that result.  A size above _WORKING_DIM_CAP raises TruncationError
+    before it runs, so a tight size above the cap is refused before any
+    eigensolve.  The Hamiltonian is diagonalized once when the first basis
+    holds the evolution, and at most twice.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
         raise ValueError(f"rho must be a square matrix of size >= 2, got shape {rho.shape}")
     taus = _delays(taus)
-    dim = rho.shape[0]
     populations = rho.diagonal().real
     support = _support(populations, _EVOLUTION_SUPPORT_TOL)
     flow = _flow(params, taus)
-
-    try:
-        tight = _evolution_dim(params, taus, support, 1.0, flow)
-    except TruncationError:  # refused below, should the dim basis leak
-        tight = dim
-    sweep = _sweep_in(rho, params, taus, min(dim, max(tight, _kept_levels(populations), 2)))
-    if sweep.leakage <= LEAKAGE_TOL:
-        return sweep
-
-    def fallbacks():  # sized only as they are reached, so a refusal comes just before its run
-        yield dim
-        for margin in (1.0, 4.0):
-            yield _evolution_dim(params, taus, support, margin, flow)
-
-    for size in fallbacks():
-        if size > sweep.working_dim:
-            sweep = _sweep_in(rho, params, taus, size)
-            if sweep.leakage <= LEAKAGE_TOL:
-                break
+    tight = _evolution_dim(flow, support, 1.0)
+    sweep = _sweep_in(rho, params, taus, max(tight, _kept_levels(populations), 2))
+    if sweep.leakage > LEAKAGE_TOL:
+        last = _evolution_dim(flow, support, 4.0)
+        if last > sweep.working_dim:
+            sweep = _sweep_in(rho, params, taus, last)
     return sweep
 
 

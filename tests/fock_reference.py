@@ -208,7 +208,7 @@ def heisenberg_a_matrix(
     corrupted by truncation.
     """
     taus = _delays(taus)
-    big = fock_oracle._evolution_dim(params, taus, dim)
+    big = fock_oracle._evolution_dim(fock_oracle._flow(params, taus), dim, 4.0)
     w, v = np.linalg.eigh(hamiltonian_matrix(params, big))
     v_h = v.conj().T
     root = np.sqrt(np.arange(1.0, big))

@@ -536,14 +536,14 @@ class TestSweepSizing:
 
     @staticmethod
     def _fallback_sizes(rho, params, taus):
-        """The first, tight and last-resort sizes, from the rule written out one delay at a time.
+        """The first and last-resort sizes, from the rule written out one delay at a time.
 
         The tight and last-resort sizes hold rho's support, its levels down to
         a suffix population of 1e-10, through the flow's stretch and shift,
         with 1 (tight) or 4 (last resort) vacuum widths of margin.  The first
         size is the tight one, raised to the fewest lowest levels outside
         which rho holds less than eps of each of Tr rho, sum n rho_nn and
-        sum n(n-1) rho_nn (all of them if a sum is zero), and capped at dim.
+        sum n(n-1) rho_nn (all of them if a sum is zero).
         """
         dim = rho.shape[0]
         populations = rho.diagonal().real
@@ -558,26 +558,17 @@ class TestSweepSizing:
         sums = (populations, n * populations, n * (n - 1) * populations)
         kept = max(next((d for d in range(dim + 1) if w[d:].sum() < EPS * w.sum()), dim)
                    for w in sums)
-        return min(dim, max(tight, kept, 2)), tight, last
+        return max(tight, kept, 2), last
 
     @classmethod
     def _sizes_run(cls, rho, params, taus):
-        """The sizes the rule runs when every basis leaks.
-
-        First the first size, then dim, the tight size and the last resort,
-        each only if it is larger than the last one run.
-        """
-        first, tight, last = cls._fallback_sizes(rho, params, taus)
-        run = [first]
-        for size in (rho.shape[0], tight, last):
-            if size > run[-1]:
-                run.append(size)
-        return run
+        """The sizes the rule runs when every basis leaks: the first, then the last resort if larger."""
+        first, last = cls._fallback_sizes(rho, params, taus)
+        return [first, last] if last > first else [first]
 
     def test_hull_corner_falls_back_to_the_flow_size(self, monkeypatch):
         # rho fills all 120 levels and its top band holds 1.5e-6, so its
-        # support is all 120 levels and the tight size is above dim: the sweep
-        # starts at dim, which leaks, the tight basis, with one vacuum width of
+        # support is all 120 levels: the tight basis, with one vacuum width of
         # margin, leaks 1e-7, and the sweep evolves once more at the last
         # resort, with four
         nbar, r, theta, alpha = 1.0, 0.8, math.pi, 1.5
@@ -586,22 +577,22 @@ class TestSweepSizing:
         dim, taus = 120, [0.0, 0.5, 1.0]
         rho = gaussian_rho(state, dim)
         sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
-        assert sizes == self._sizes_run(rho, params, taus) == [120, 723, 893]
+        assert sizes == self._sizes_run(rho, params, taus) == [723, 893]
         assert sweep.working_dim == 893
         assert abs(sweep.leakage) < 1e-15
 
-    def test_state_inside_dim_falls_back_to_the_tight_size(self, monkeypatch):
+    def test_state_inside_dim_runs_at_the_tight_size_above_dim(self, monkeypatch):
         # rho's levels above a suffix of 1e-10 are its lowest 56 of 120, so
         # the tight basis, 239 levels, holds the evolution below the last
-        # resort's 340; being above dim, it is not the first basis
+        # resort's 340; being above dim, it is the first and only basis
         state = GaussianStateParams(alpha=0.8 + 0j, xi=SqueezeParam(0.6, 0.0), nbar=0.3)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 120, [0.0, 0.5, 1.0]
         rho = gaussian_rho(state, dim)
-        first, tight, last = self._fallback_sizes(rho, params, taus)
+        first, last = self._fallback_sizes(rho, params, taus)
         sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
-        assert sizes == [dim, tight] and (first, tight, last) == (dim, 239, 340)
-        assert sweep.working_dim == tight and sweep.leakage <= LEAKAGE_TOL
+        assert sizes == [first] == [239] and last == 340
+        assert sweep.working_dim == 239 and sweep.leakage <= LEAKAGE_TOL
         reference = coherence_grid(state, params.b, params.c, taus).g2
         np.testing.assert_allclose(sweep.g2, reference, rtol=10 * LEAKAGE_TOL, atol=0)
 
@@ -638,15 +629,15 @@ class TestSweepSizing:
         state = GaussianStateParams(alpha=0.2 + 0j, xi=SqueezeParam(0.1, 0.0), nbar=0.05)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         rho, taus = gaussian_rho(state, 120), np.array([0.0, 0.5])
-        first, _, last = self._fallback_sizes(rho, params, taus)
+        first, last = self._fallback_sizes(rho, params, taus)
         assert last <= 120  # the case is not vacuous
         sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
         assert sizes == [first] and sweep.working_dim == first < 120
 
     @pytest.mark.parametrize("nbar, r, theta, alpha, dim, tau_max, first", [
         (0.2, 0.3, 0.0, 0.5, 120, 1.0, 71),
-        (0.6, 0.4, 0.0, 1.0, 120, 1.0, 120),  # leaks 4.9e-10 at dim
-        (0.3, 0.4, 1.0, 0.8, 60, 0.5, 60),  # leaks 3.7e-9 at dim
+        (0.6, 0.4, 0.0, 1.0, 120, 1.0, 163),  # leaks 3.3e-13, 4.9e-10 at dim
+        (0.3, 0.4, 1.0, 0.8, 60, 0.5, 86),  # leaks 6.6e-13, 3.7e-9 at dim
     ])
     def test_first_basis_agrees_with_the_flow_size(self, nbar, r, theta, alpha, dim, tau_max,
                                                    first, monkeypatch):
@@ -680,7 +671,7 @@ class TestSweepSizing:
             first = self._fallback_sizes(rho, params, taus)[0]
             sweep, sizes = self._counted_sweep(monkeypatch, rho, params, taus)
             monkeypatch.undo()
-            if first == dim or sweep.leakage > LEAKAGE_TOL:
+            if first >= dim or sweep.leakage > LEAKAGE_TOL:
                 continue
             contained += 1
             assert sizes == [first] and sweep.working_dim == first
@@ -726,8 +717,10 @@ class TestSweepSizing:
         dim, taus = 40, np.linspace(0.0, tau, 5)
         rho = gaussian_rho(state, dim)
         run = self._sizes_run(rho, params, taus)
-        sweep = oracle_sweep(rho, params, taus)
-        assert sweep.working_dim in run
+        with pytest.MonkeyPatch.context() as patch:  # a fixture is not reset between examples
+            sweep, sizes = self._counted_sweep(patch, rho, params, taus)
+        assert len(sizes) <= 2 and sizes == run[:len(sizes)]
+        assert sweep.working_dim == sizes[-1]
         assert sweep.leakage <= LEAKAGE_TOL or sweep.working_dim == run[-1]
 
     @given(st.floats(min_value=0.0, max_value=1.0),
@@ -739,16 +732,15 @@ class TestSweepSizing:
     @settings(max_examples=20, deadline=None)
     def test_kept_basis_is_the_first_that_passes(self, nbar, r, theta, amag, phi, tau):
         # each size the rule runs is evolved on its own; the sweep keeps the
-        # first whose leakage is at most LEAKAGE_TOL, or else the last
+        # first size if it leaks at most LEAKAGE_TOL, or else the last resort
         state = GaussianStateParams(alpha=from_polar(amag, phi), xi=SqueezeParam(r, theta),
                                     nbar=nbar)
         params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
         dim, taus = 40, np.linspace(0.0, tau, 5)
         rho = gaussian_rho(state, dim)
         run = self._sizes_run(rho, params, taus)
-        expected = next((n for n in run
-                         if fock_oracle._sweep_in(rho, params, taus, n).leakage <= LEAKAGE_TOL),
-                        run[-1])
+        passes = fock_oracle._sweep_in(rho, params, taus, run[0]).leakage <= LEAKAGE_TOL
+        expected = run[0] if passes else run[-1]
         assert oracle_sweep(rho, params, taus).working_dim == expected
 
     @staticmethod
@@ -765,10 +757,10 @@ class TestSweepSizing:
             expected = self._per_delay_evolution_dim(params, taus, dim)
         except TruncationError as refusal:
             with pytest.raises(TruncationError) as raised:
-                fock_oracle._evolution_dim(params, taus, dim)
+                fock_oracle._evolution_dim(fock_oracle._flow(params, taus), dim, 4.0)
             assert str(raised.value) == str(refusal)
             return None
-        assert fock_oracle._evolution_dim(params, taus, dim) == expected
+        assert fock_oracle._evolution_dim(fock_oracle._flow(params, taus), dim, 4.0) == expected
         return expected
 
     @pytest.mark.parametrize("b, c, tau_max, dim, sized", [

@@ -201,13 +201,12 @@ class TestEigensolveCount:
                                   "--mode", mode, "--oracle-dim", "40", "--tau-max", "0.5",
                                   "--steps", str(steps)))
             runs.append(list(sizes))
-        # rho is built with no eigensolve.  The sweep tries the 40-level basis,
-        # which leaks too much, then evolves at the tight size, which holds it:
-        # rho's 37 levels above a suffix of 1e-10 through r(0.5) = 0.2 and
-        # |alpha(0.5)| = 0.44 with one vacuum width of margin,
-        # ceil((sqrt(37) e^0.2 + 1 + 0.44)²) = 79.  Compare mode reads its
-        # verdict from that sweep, so it runs the same eigensolves
-        assert runs == [[40, 79], [40, 79]]
+        # rho is built with no eigensolve.  The sweep evolves at the tight
+        # size, which holds the evolution: rho's 37 levels above a suffix of
+        # 1e-10 through r(0.5) = 0.2 and |alpha(0.5)| = 0.44 with one vacuum
+        # width of margin, ceil((sqrt(37) e^0.2 + 1 + 0.44)²) = 79.  Compare
+        # mode reads its verdict from that sweep, so it runs the same eigensolve
+        assert runs == [[79], [79]]
 
 
 class TestRunCompare:
@@ -440,11 +439,15 @@ class TestMainExitCodes:
         # passes this state with g2 off by 1.25e-3
         (["--r", "1.6", "--tau-max", "0.01"], 3394),
     ])
-    def test_basis_above_the_cap_is_refused(self, argv, needed, mode, capsys):
+    def test_basis_above_the_cap_is_refused(self, argv, needed, mode, monkeypatch, capsys):
+        # refused before any eigensolve, the evolution basis as well as rho's
+        eigh = np.linalg.eigh
+        sizes = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(argv + ["--mode", mode, "--steps", "2"])
-        assert code == EXIT_COMPARE
+        assert code == EXIT_COMPARE and sizes == []
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
