@@ -40,22 +40,41 @@ basis and V_edge the rows of V for its top 10% levels,
 so after the O(N³) setup each delay costs O(N²), and delays are evaluated
 in blocks of fixed size, one matrix product per block for all three forms.
 The largest edge population over the delays is the sweep's leakage: the
-share of the evolved state that reached the top of the working basis.  The
-caller builds rho once with gaussian_rho and hands it to the sweep; nothing
-outlives the call.
+share of the evolved state that reached the top of the working basis.
+oracle_sweep takes a rho built once with gaussian_rho; nothing outlives the
+call.
+
+The CLI and g2_oracle reach the oracle through sweep_state, which builds rho
+from the state and may evolve in a second basis: the amplifier's squeeze
+frame.  H is a pure squeeze about the point -beta, beta = b / (2c*), so in the
+number basis of d = e^{-i gamma/2} (a + beta), gamma = arg c, it is |c| (d†² +
+d²) plus a constant: real, and coupling each level only to those two above
+and below.  Its eigensystem is then two real eigensolves of about N/2 levels,
+the even and the odd chain, in place of one complex one of N.  The state in
+that basis is again a Gaussian rho from the same recurrence, n and a rho a†
+pick up the shift beta' = e^{-i gamma/2} beta, and everything after the
+eigensystem (the forms, the delay sums, the floor and the leakage) is the
+number basis's code.  The chains split V into two groups of columns, each
+on one parity of levels, so the forms are built and summed a quarter at a
+time, each product running over half the levels.  The frame's basis grows
+with |beta|, so a rule on the sizes picks it (see _FRAME_KAPPA); at c = 0
+there is no frame.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .gaussian_core import (
     GaussianStateParams,
+    SqueezeParam,
     UndefinedCoherenceError,
     alpha_of_tau,
     r_of_tau,
@@ -69,6 +88,7 @@ __all__ = [
     "gaussian_rho",
     "hamiltonian_matrix",
     "oracle_sweep",
+    "sweep_state",
     "g2_oracle",
 ]
 
@@ -119,6 +139,30 @@ LEAKAGE_TOL = 1e-8
 _EVOLUTION_SUPPORT_TOL = LEAKAGE_TOL / 100
 
 
+# sweep_state evolves in the squeeze frame (see there) only where |beta| <=
+# _FRAME_KAPPA sqrt(N), N being the number basis's first size, and N > dim.
+# The frame's basis grows with |beta|, so past some |beta| / sqrt(N) its real
+# eigensolves cost more than the complex one they replace; and its rho is a
+# second recurrence build of at least dim levels, which the eigensolves repay
+# only once N is above dim (on 128 compare_grid ops of seed 23101 with N <=
+# dim, the frame was slower in every band up to 0.5: medians 0.5x to 0.8x).
+# Measured as the CLI's time per op, best of 3, number basis over frame, on
+# the benchmark ops with N > dim = 120 among 160 compare_grid ops (seed
+# 23801, 4 delays) and 80 oracle_curve ops (seed 23802, 501 delays), by
+# |beta| / sqrt(N), as the median and the range (2 vCPUs, OpenBLAS):
+#   up to 0.05:   compare 2.53x (1.46x to 2.89x, 14 ops), oracle 1.58x (1.01x to 1.81x, 9 ops)
+#   0.05 to 0.1:  1.67x (1.24x to 2.59x, 13 ops), 1.08x (1.00x to 1.56x, 5 ops)
+#   0.1 to 0.15:  1.31x (1.02x to 2.23x, 9 ops), 1.01x (0.88x to 1.20x, 4 ops)
+#   0.15 to 0.2:  1.25x (1.05x to 1.61x, 6 ops), 0.88x (0.81x to 1.02x, 6 ops)
+#   0.2 to 0.3:   1.20x (0.81x to 1.34x, 11 ops), 0.76x (3 ops)
+#   above 0.3:    0.68x (0.58x to 1.07x, 6 ops), 0.74x (3 ops)
+# The frame's basis outgrows the number basis's as |beta| grows, and each
+# delay costs O(N²), so with many delays the paths cross sooner: near 0.15
+# for oracle_curve, past 0.3 for compare_grid.  0.15 keeps the frame from
+# slowing either.
+_FRAME_KAPPA = 0.15
+
+
 class TruncationError(Exception):
     """The oracle's truncation cannot be trusted, so it gives no numbers.
 
@@ -146,6 +190,9 @@ class OracleSweep:
     more, or the last resort when that basis leaked too much (see
     oracle_sweep).  leakage is the largest population, over the delays, that
     the evolved state rho(tau) puts in the top 10% of the N working levels.
+    A sweep in the squeeze frame (see sweep_state) counts N, the leakage's
+    levels and mean_0's in the frame's number basis; tail_mass and pair_tail
+    are still those of rho's dim number states.
     """
 
     mean_0: float
@@ -188,6 +235,15 @@ def _require_dim(dim: int) -> None:
 _WORKING_DIM_CAP = 3072
 
 
+def _needed(dim: int, stretch_r: float, shift_mag: float, margin: float) -> float:
+    """(sqrt(dim) e^{stretch_r} + margin + shift_mag)², the size _working_dim checks."""
+    # A stretch past the cap's logarithm needs more than the cap at any dim,
+    # so bounding it there only keeps exp finite.
+    stretch = math.exp(min(stretch_r, math.log(_WORKING_DIM_CAP)))
+    radius = math.sqrt(dim) * stretch + margin + shift_mag
+    return radius * radius
+
+
 def _working_dim(dim: int, stretch_r: float, shift_mag: float, margin: float = 4.0) -> int:
     """Fock dimension needed to hold `dim` levels through a stretch and a shift.
 
@@ -198,11 +254,7 @@ def _working_dim(dim: int, stretch_r: float, shift_mag: float, margin: float = 4
     in vacuum widths, absorbs the Gaussian edges.  Raises TruncationError
     when that exceeds _WORKING_DIM_CAP.
     """
-    # A stretch past the cap's logarithm needs more than the cap at any dim,
-    # so bounding it there only keeps exp finite.
-    stretch = math.exp(min(stretch_r, math.log(_WORKING_DIM_CAP)))
-    radius = math.sqrt(dim) * stretch + margin + shift_mag
-    needed = radius * radius
+    needed = _needed(dim, stretch_r, shift_mag, margin)
     if needed > _WORKING_DIM_CAP:
         shown = math.ceil(needed) if math.isfinite(needed) else needed
         raise TruncationError(
@@ -257,6 +309,11 @@ def gaussian_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
     # states this refuses with a wrong g2 (r 1.6 at tau_max 0.01 by 1.25e-3),
     # so they stay refused until a gate on pair_tail refuses them.
     _working_dim(dim, state.xi.r, abs(state.alpha))
+    return _recurrence_rho(state, dim)
+
+
+def _recurrence_rho(state: GaussianStateParams, dim: int) -> np.ndarray:
+    """gaussian_rho's matrix, with no size check."""
     nbar, r, alpha = state.nbar, state.xi.r, complex(state.alpha)
     nu = nbar + 0.5
     u = nu * math.exp(2.0 * r) + 0.5
@@ -355,62 +412,176 @@ def _real_trace(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def _sweep_in(
-    rho: np.ndarray, params: HamiltonianParams, taus: np.ndarray, big: int
-) -> OracleSweep:
-    """oracle_sweep's traces with n(tau) evolved in the lowest `big` levels.
-
-    Below dim = rho.shape[0] the basis holds rho[:big, :big], and a rho a† is
-    built from that crop; mean_0, tail_mass and pair_tail are read from the
-    whole rho either way.
-    """
+def _tails(rho: np.ndarray) -> tuple[float, float]:
+    """tail_mass and pair_tail of rho's top 10% levels (see OracleSweep)."""
     dim = rho.shape[0]
-    held = min(dim, big)
-    w, v = np.linalg.eigh(hamiltonian_matrix(params, big))
-    v_top = v[:held].copy()  # rho and a rho a† live on the lowest held states
-    v_edge = v[_edge_start(big) :].copy()
-    v *= np.sqrt(np.arange(big, dtype=float))[:, None]  # V† n V = (√n V)† (√n V)
-    # a rho a†: rho moved down one level, sqrt(n) weights on both sides.
-    cropped = rho[:held, :held]
-    root = np.sqrt(np.arange(1.0, held))
-    lowered = np.zeros_like(cropped)
-    lowered[:-1, :-1] = root[:, None] * cropped[1:, 1:] * root
-    # Row j of (V† X V)^T is row j of V_top^T times X^T conj(V_top).
-    rho_right = cropped.T @ v_top.conj()
-    lowered_right = lowered.T @ v_top.conj()
-    # [Mx | Mr | Me] side by side, so one product per delay block serves all
-    # three.  They are filled _BLOCK rows at a time, from row blocks of each
-    # factor, so no N x N temporary ever sits beside them.
-    forms = np.empty((big, 3 * big), dtype=complex)
-    abs_mr = 0.0
-    for start in range(0, big, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        number = v[:, rows].conj().T @ v
-        rho_t = v_top[:, rows].T @ rho_right
-        m_x, m_rho, m_edge = np.split(forms[rows], 3, axis=1)
-        np.multiply(number, v_top[:, rows].T @ lowered_right, out=m_x)
-        np.multiply(number, rho_t, out=m_rho)
-        np.multiply(v_edge[:, rows].conj().T @ v_edge, rho_t, out=m_edge)
-        abs_mr += float(np.abs(m_rho).sum())
-    del v
-    floor = big * np.finfo(float).eps * abs_mr
-
-    traces = np.empty((3, taus.size))  # numerator, mean_n, edge population
-    for start in range(0, taus.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        phase = np.exp(1j * np.outer(taus[block], w))
-        forms_at = (phase @ forms).reshape(len(phase), 3, big)
-        traces[:, block] = _real_trace(
-            np.einsum("bkj,bj->kb", forms_at, phase.conj()), "oracle trace"
-        )
-    numerator, mean_n, edge = traces
     edge_start = _edge_start(dim)
-    mean_0 = float(np.arange(dim) @ rho.diagonal().real)
     tail_mass = float(np.sum(rho.diagonal()[edge_start:]).real)
     pairs = np.arange(dim) * np.arange(-1, dim - 1) * rho.diagonal().real  # n(n-1) rho_nn
     pair_weight = float(pairs.sum())
     pair_tail = float(pairs[edge_start:].sum()) / pair_weight if pair_weight else math.nan
-    return OracleSweep(mean_0, mean_n, numerator, floor, tail_mass, pair_tail, big, float(edge.max()))
+    return tail_mass, pair_tail
+
+
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right, as one real product on right's parts when only left is real."""
+    if np.isrealobj(left) and not np.isrealobj(right):
+        return (left @ right.view(float)).view(complex)
+    return left @ right
+
+
+def _shifted_number(x: np.ndarray, root: np.ndarray, shift: complex) -> np.ndarray:
+    """(d - shift)†(d - shift) x, d lowering the rows of a real x.
+
+    That is (n + |shift|²) x - shift d† x - shift* d x.  root is sqrt(n) on
+    x's rows, so (d x)_k = root_{k+1} x_{k+1} and (d† x)_k = root_k x_{k-1}.
+    """
+    raised = np.zeros_like(x)
+    raised[1:] = root[1:, None] * x[:-1]
+    lowered = np.zeros_like(x)
+    lowered[:-1] = root[1:, None] * x[1:]
+    out = np.empty(x.shape, dtype=complex)
+    out.real = (root * root + abs(shift) ** 2)[:, None] * x - shift.real * (raised + lowered)
+    out.imag = shift.imag * (lowered - raised)
+    return out
+
+
+# A group of an eigenvector matrix V's columns, and the levels they live on.
+_Group = tuple[slice, slice]
+
+
+def _traced(
+    rho: np.ndarray,
+    taus: np.ndarray,
+    eigensystem: Callable[[int], tuple[np.ndarray, np.ndarray, tuple[_Group, ...]]],
+    shift: complex,
+    tails: tuple[float, float],
+    big: int,
+) -> OracleSweep:
+    """A sweep's traces with n(tau) evolved in the lowest `big` levels of one basis.
+
+    eigensystem(big) gives H's eigenvalues w and eigenvectors V on those
+    levels, and V's groups: each a slice of its columns and the slice of the
+    levels those columns live on, H coupling no two groups; rho is the
+    state in that basis, and the photon number is n = (d - shift)†(d -
+    shift), d being the basis's lowering operator.  Below dim = rho.shape[0]
+    the basis holds rho[:big, :big], and a rho a† = (d - shift) rho (d -
+    shift)† is built from that crop; mean_0 = Tr[rho n] is read from the
+    whole rho.  tails are the sweep's tail_mass and pair_tail.
+
+    Each trace sum_jk Phi_j M_jk conj(Phi_k) is summed over the blocks of M
+    that pair a group of j with a group of k, one block at a time, so the
+    forms of one block are all that is ever stored: N x 3N for one group, a
+    quarter of that for two halves.  The forms are Hermitian, so a block
+    below the diagonal adds the conjugate of the one above it, which is
+    summed twice in its place.  A product over levels runs only over the
+    levels that its eigenvector factor lives on.
+    """
+    dim = rho.shape[0]
+    held = min(dim, big)
+    w, v, groups = eigensystem(big)
+    v_top = v[:held].copy()  # rho and a rho a† live on the lowest held states
+    v_edge = v[_edge_start(big) :].copy()
+    root = np.sqrt(np.arange(big, dtype=float))
+    if not shift:
+        v *= root[:, None]  # V† n V = (sqrt(n) V)† (sqrt(n) V)
+    # a rho a†: rho moved down one level, sqrt(n) weights on both sides.
+    cropped = rho[:held, :held]
+    held_root = root[1:held]
+    lowered = np.zeros_like(cropped)
+    lowered[:-1, :-1] = held_root[:, None] * cropped[1:, 1:] * held_root
+    if shift:  # minus shift* d rho and its adjoint, plus |shift|² rho
+        down = np.zeros_like(cropped)
+        down[:-1] = held_root[:, None] * cropped[1:]
+        lowered -= shift.conjugate() * down + shift * down.conj().T
+        lowered += abs(shift) ** 2 * cropped
+    # Row j of (V† X V)^T is row j of V_top^T times X^T conj(V_top).
+    rho_right = cropped.T @ v_top.conj()
+    lowered_right = lowered.T @ v_top.conj()
+    abs_mr = 0.0
+    sums = None  # complex traces: numerator, mean_n, edge population
+    for (j_cols, j_levels), (k_cols, k_levels) in itertools.combinations_with_replacement(groups, 2):
+        # [Mx | Mr | Me] side by side, so one product per delay block serves
+        # all three.  They are filled _BLOCK rows at a time, from row blocks
+        # of each factor, so no N x N temporary ever sits beside them.
+        size = k_cols.stop - k_cols.start
+        # an off-diagonal block stands in for its conjugate below the diagonal too
+        mirrored = k_cols != j_cols
+        forms = np.empty((j_cols.stop - j_cols.start, 3 * size), dtype=complex)
+        for start in range(0, forms.shape[0], _BLOCK):
+            rows = slice(j_cols.start + start, min(j_cols.start + start + _BLOCK, j_cols.stop))
+            if shift:  # rows of V† n V = (n V_rows)† V, with n tridiagonal
+                moved = _shifted_number(v[:, rows], root, shift)[k_levels]
+                number = _product(v[k_levels, k_cols].conj().T, moved).conj().T
+            else:
+                number = v[k_levels, rows].conj().T @ v[k_levels, k_cols]
+            rho_t = _product(v_top[j_levels, rows].T, rho_right[j_levels, k_cols])
+            m_x, m_rho, m_edge = np.split(forms[start : start + _BLOCK], 3, axis=1)
+            lowered_t = _product(v_top[j_levels, rows].T, lowered_right[j_levels, k_cols])
+            np.multiply(number, lowered_t, out=m_x)
+            np.multiply(number, rho_t, out=m_rho)
+            np.multiply(v_edge[:, rows].conj().T @ v_edge[:, k_cols], rho_t, out=m_edge)
+            abs_mr += (1.0 + mirrored) * float(np.abs(m_rho).sum())
+        part = np.empty((3, taus.size), dtype=complex)
+        for start in range(0, taus.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            phase = np.exp(1j * np.outer(taus[block], w[j_cols]))
+            forms_at = (phase @ forms).reshape(len(phase), 3, size)
+            if mirrored:
+                phase = np.exp(1j * np.outer(taus[block], w[k_cols]))
+            part[:, block] = np.einsum("bkj,bj->kb", forms_at, phase.conj())
+        del forms
+        if mirrored:
+            part += part.conj()
+        sums = part if sums is None else sums + part
+    del v
+    floor = big * np.finfo(float).eps * abs_mr
+    numerator, mean_n, edge = _real_trace(sums, "oracle trace")
+    levels = np.arange(dim)
+    mean_0 = float(levels @ rho.diagonal().real)
+    if shift:  # - 2 Re(shift* Tr[rho d]) + |shift|² Tr rho
+        lowering = np.sqrt(levels[1:]) @ rho.diagonal(-1)
+        mean_0 += abs(shift) ** 2 * float(rho.diagonal().real.sum())
+        mean_0 -= 2.0 * (shift.conjugate() * lowering).real
+    return OracleSweep(mean_0, mean_n, numerator, floor, *tails, big, float(edge.max()))
+
+
+def _sweep_in(
+    rho: np.ndarray, params: HamiltonianParams, taus: np.ndarray, big: int
+) -> OracleSweep:
+    """oracle_sweep's traces with n(tau) evolved in the lowest `big` number states."""
+    def eigensystem(size: int) -> tuple[np.ndarray, np.ndarray, tuple[_Group, ...]]:
+        return *np.linalg.eigh(hamiltonian_matrix(params, size)), ((slice(0, size), slice(None)),)
+
+    return _traced(rho, taus, eigensystem, 0j, _tails(rho), big)
+
+
+def _chain_eigensystem(
+    magnitude: float, big: int
+) -> tuple[np.ndarray, np.ndarray, tuple[_Group, ...]]:
+    """Eigensystem of magnitude (d†² + d²) on `big` levels, from its two parity chains.
+
+    The pair terms couple level k only to k ± 2, with <k+2|H|k> = magnitude
+    sqrt((k+1)(k+2)), so the even and the odd levels each carry a real
+    tridiagonal matrix, of ceil(big/2) and floor(big/2) levels, each solved
+    densely.  V holds the even chain's eigenvectors on the even levels of its
+    first ceil(big/2) columns and the odd chain's on the odd levels of the
+    rest; those are its two groups (see _traced).
+    """
+    k = np.arange(big - 2, dtype=float)
+    hops = magnitude * np.sqrt((k + 1.0) * (k + 2.0))
+    w = np.empty(big)
+    v = np.zeros((big, big))
+    start = 0
+    for parity in (0, 1):
+        size = (big - parity + 1) // 2
+        chain = np.zeros((size, size))
+        steps = np.arange(size - 1)
+        chain[steps, steps + 1] = chain[steps + 1, steps] = hops[parity::2]
+        w[start : start + size], v[parity::2, start : start + size] = np.linalg.eigh(chain)
+        start += size
+    half = (big + 1) // 2
+    return w, v, ((slice(0, half), slice(0, None, 2)), (slice(half, big), slice(1, None, 2)))
 
 
 def _kept_levels(populations: np.ndarray) -> int:
@@ -423,6 +594,24 @@ def _kept_levels(populations: np.ndarray) -> int:
     n = np.arange(populations.size)
     sums = (populations, n * populations, n * (n - 1) * populations)
     return max(_support(weights, np.finfo(float).eps * weights.sum()) for weights in sums)
+
+
+def _rungs(sweep_at: Callable[[int], OracleSweep], first: int, last: Callable[[], int]) -> OracleSweep:
+    """sweep_at(first), or sweep_at(last()) if first leaks more than LEAKAGE_TOL and last() is larger."""
+    sweep = sweep_at(first)
+    if sweep.leakage > LEAKAGE_TOL:
+        size = last()
+        if size > first:
+            sweep = sweep_at(size)
+    return sweep
+
+
+def _number_sizes(rho: np.ndarray, flow) -> tuple[int, Callable[[], int]]:
+    """The number basis's first size for rho, and its last resort sized when asked (see oracle_sweep)."""
+    populations = rho.diagonal().real
+    support = _support(populations, _EVOLUTION_SUPPORT_TOL)
+    first = max(_evolution_dim(flow, support, 1.0), _kept_levels(populations), 2)
+    return first, lambda: _evolution_dim(flow, support, 4.0)
 
 
 def oracle_sweep(
@@ -448,22 +637,80 @@ def oracle_sweep(
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
         raise ValueError(f"rho must be a square matrix of size >= 2, got shape {rho.shape}")
     taus = _delays(taus)
+    return _rungs(partial(_sweep_in, rho, params, taus), *_number_sizes(rho, _flow(params, taus)))
+
+
+def _frame(
+    state: GaussianStateParams, params: HamiltonianParams, flow, dim: int, first: int
+) -> tuple[np.ndarray, complex, int, int] | None:
+    """The squeeze frame's rho, shift, first and last-resort sizes, or None where it does not run.
+
+    first is the number basis's first size for rho on `dim` levels.  The
+    frame runs when c != 0, first > dim, |beta| <= _FRAME_KAPPA sqrt(first),
+    and its rho and both its sizes are within _WORKING_DIM_CAP.  Its rho is
+    gaussian_rho's at alpha' = e^{-i gamma/2} (alpha + beta) and theta' =
+    theta - gamma, built on ceil((sqrt(dim) + |beta|)²) levels, which hold
+    the phase-space disk that rho's dim levels hold, and cropped to its kept
+    levels (see _kept_levels).  In the frame the flow is a pure squeeze about
+    the origin, so its sizes are oracle_sweep's from that rho's support with
+    no shift: (sqrt(support) e^{r(tau)} + margin)² at margins 1 and 4, the
+    first raised to the kept levels.
+    """
+    c = complex(params.c)
+    if c == 0 or first <= dim:
+        return None
+    beta = complex(params.b) / (2.0 * c.conjugate())
+    if not abs(beta) <= _FRAME_KAPPA * math.sqrt(first):
+        return None
+    # (sqrt(dim) + |beta|)², expanded so that it is dim itself at beta = 0
+    built = dim + math.ceil(abs(beta) * (2.0 * math.sqrt(dim) + abs(beta)))
+    if built > _WORKING_DIM_CAP:
+        return None
+    gamma = cmath.phase(c)
+    gauge = cmath.exp(-0.5j * gamma)
+    framed = GaussianStateParams(
+        gauge * (state.alpha + beta), SqueezeParam(state.xi.r, state.xi.theta - gamma), state.nbar
+    )
+    rho = _recurrence_rho(framed, built)
     populations = rho.diagonal().real
     support = _support(populations, _EVOLUTION_SUPPORT_TOL)
+    stretch = max(flow[0])
+    tight, last = (math.ceil(_needed(support, stretch, 0.0, margin)) for margin in (1.0, 4.0))
+    if last > _WORKING_DIM_CAP:
+        return None
+    kept = _kept_levels(populations)
+    return rho[:kept, :kept], gauge * beta, max(tight, kept, 2), last
+
+
+def sweep_state(
+    state: GaussianStateParams, params: HamiltonianParams, taus: Sequence[float], dim: int
+) -> OracleSweep:
+    """The oracle sweep of `state` held on `dim` levels, in the squeeze frame where it runs.
+
+    rho = gaussian_rho(state, dim) is built and its number basis sized as in
+    oracle_sweep, so a state or a tight basis above the cap is refused before
+    any eigensolve.  Where the squeeze frame runs (see _frame), the sweep
+    evolves the state there, at the frame's two rungs, with each chain of its
+    Hamiltonian solved by np.linalg.eigh; otherwise it is oracle_sweep(rho,
+    params, taus).  tail_mass and pair_tail are rho's either way, so every
+    gate reads the same figures.
+    """
+    rho = gaussian_rho(state, dim)
+    taus = _delays(taus)
     flow = _flow(params, taus)
-    tight = _evolution_dim(flow, support, 1.0)
-    sweep = _sweep_in(rho, params, taus, max(tight, _kept_levels(populations), 2))
-    if sweep.leakage > LEAKAGE_TOL:
-        last = _evolution_dim(flow, support, 4.0)
-        if last > sweep.working_dim:
-            sweep = _sweep_in(rho, params, taus, last)
-    return sweep
+    frame = _frame(state, params, flow, dim, _number_sizes(rho, flow)[0])
+    if frame is None:
+        return oracle_sweep(rho, params, taus)
+    framed, shift, first, last = frame
+    eigensystem = partial(_chain_eigensystem, abs(params.c))
+    sweep_at = partial(_traced, framed, taus, eigensystem, shift, _tails(rho))
+    return _rungs(sweep_at, first, lambda: last)
 
 
 def g2_oracle(
     state: GaussianStateParams, params: HamiltonianParams, tau: float, dim: int
 ) -> float:
-    """Tr[rho a† n(tau) a] / (Tr[rho a† a] Tr[rho n(tau)])."""
+    """Tr[rho a† n(tau) a] / (Tr[rho a† a] Tr[rho n(tau)]), from sweep_state."""
     if state.is_vacuum:
         raise UndefinedCoherenceError()
-    return float(oracle_sweep(gaussian_rho(state, dim), params, [tau]).g2[0])
+    return float(sweep_state(state, params, [tau], dim).g2[0])

@@ -40,8 +40,7 @@ from .fock_oracle import (
     LEAKAGE_TOL,
     OracleSweep,
     TruncationError,
-    gaussian_rho,
-    oracle_sweep,
+    sweep_state,
 )
 from .gaussian_core import (
     CoherenceGrid,
@@ -338,8 +337,7 @@ def _evaluate(
         raise UsageError(str(exc)) from None
     if config.mode == "closed_form":
         return params, grid, None, None
-    rho = gaussian_rho(state, config.oracle_dim)  # held to the end: freed early, peak RSS rose 4%
-    sweep = oracle_sweep(rho, params, taus)
+    sweep = sweep_state(state, params, taus, config.oracle_dim)
     oracle_g2 = sweep.g2  # a state below the roundoff floor is undefined, not truncated
     if not sweep.pair_tail < 1.0:
         raise TruncationError(

@@ -37,6 +37,7 @@ from g2tau.fock_oracle import (
     _working_dim,
     hamiltonian_matrix,
     oracle_sweep,
+    sweep_state,
 )
 from g2tau.gaussian_core import PAIR_COUPLING_EPS, alpha_of_tau, coherence_grid, r_of_tau
 
@@ -793,6 +794,109 @@ class TestSweepSizing:
         rho = thermal_rho(0.5, 4)
         sweep = oracle_sweep(rho, HamiltonianParams(), [0.0])
         assert sweep.tail_mass == rho[3, 3].real > 0.0
+
+
+class TestSqueezeFrame:
+    @staticmethod
+    def _recorded_sweep(rho_or_state, params, taus, dim=None):
+        """oracle_sweep of a rho, or sweep_state of a state, with each eigensolve's size and kind."""
+        eigh = np.linalg.eigh
+        solved = []
+
+        def recording_eigh(matrix, *args, **kwargs):
+            solved.append((matrix.shape[-1], "real" if np.isrealobj(matrix) else "complex"))
+            return eigh(matrix, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", recording_eigh)
+            if dim is None:
+                return oracle_sweep(rho_or_state, params, taus), solved
+            return sweep_state(rho_or_state, params, taus, dim), solved
+
+    @pytest.mark.parametrize("big", [2, 3, 7, 8, 41])
+    def test_chains_diagonalize_the_pair_terms(self, big):
+        # V diag(w) V^T is |c| (a†² + a²) on big levels, with V real and
+        # orthogonal, and each group of its columns on one parity
+        w, v, groups = fock_oracle._chain_eigensystem(0.7, big)
+        half = (big + 1) // 2
+        assert groups == ((slice(0, half), slice(0, None, 2)), (slice(half, big), slice(1, None, 2)))
+        assert not v[1::2, :half].any() and not v[0::2, half:].any()
+        pair = hamiltonian_matrix(HamiltonianParams(0j, 0.7 + 0j), big)
+        assert np.isrealobj(v) and np.isrealobj(w)
+        np.testing.assert_allclose((v * w) @ v.T, pair.real, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(big), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("nbar, r, theta, dim", [
+        (0.4, 0.6, 1.0, 60),
+        (0.0, 0.8, 0.0, 120),
+        (1.0, 0.5, 2.5, 60),
+    ])
+    def test_squeezed_thermal_runs_two_real_chains_at_the_fock_size(self, nbar, r, theta, dim):
+        # alpha = 0 puts the squeeze's centre, -beta, at the origin: the frame
+        # is the number basis turned by a phase, so it runs at the Fock path's
+        # N, as two real chains and no complex eigensolve
+        state = GaussianStateParams(alpha=0j, xi=SqueezeParam(r, theta), nbar=nbar)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        taus = np.linspace(0.0, 1.0, 6)
+        fock, fock_solved = self._recorded_sweep(gaussian_rho(state, dim), params, taus)
+        n = fock.working_dim
+        assert fock_solved == [(n, "complex")] and n > dim  # the case is not vacuous
+        sweep, solved = self._recorded_sweep(state, params, taus, dim)
+        assert solved == [((n + 1) // 2, "real"), (n // 2, "real")]
+        assert sweep.working_dim == n
+        np.testing.assert_allclose(sweep.g2, fock.g2, rtol=1e-12, atol=0)
+        assert (sweep.tail_mass, sweep.pair_tail) == (fock.tail_mass, fock.pair_tail)
+
+    def test_frame_agrees_over_the_benchmark_hull(self):
+        # 48 draws over the benchmark hull (nbar <= 1, r <= 0.8, |alpha| <=
+        # 1.5, tau <= 1), every sixth at r = 0, where c = 0 and there is no
+        # frame.  A draw ran in the frame when every eigensolve was real.  Its
+        # g2 is within the two sweeps' evolution errors, 10x each leakage (see
+        # LEAKAGE_TOL), of the Fock sweep, plus 1e-12 for roundoff, plus
+        # pair_tail: the frame's rho crops the state to a disk about -beta
+        # and the Fock sweep's to rho's dim levels, so they differ by up to
+        # about the share of g2's numerator in rho's top levels (1.4e-6 at a
+        # pair_tail of 9e-6 on one draw, where the frame is 2.5e-7 from the
+        # closed form); and within the acceptance tolerance of the closed form
+        rng = np.random.default_rng(2323)
+        dim, taus, framed = 120, np.linspace(0.0, 1.0, 4), 0
+        for draw in range(48):
+            nbar, r, amag = rng.uniform(0.0, [1.0, 0.8, 1.5])
+            theta, phi = rng.uniform(0.0, 2 * math.pi, 2)
+            if draw % 6 == 5:
+                r = 0.0
+            state = GaussianStateParams(alpha=from_polar(amag, phi), xi=SqueezeParam(r, theta),
+                                        nbar=nbar)
+            params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+            sweep, solved = self._recorded_sweep(state, params, taus, dim)
+            if not all(kind == "real" for _, kind in solved):
+                continue
+            assert params.c != 0
+            framed += 1
+            fock = oracle_sweep(gaussian_rho(state, dim), params, taus)
+            bound = 10 * (sweep.leakage + fock.leakage) + fock.pair_tail + 1e-12
+            np.testing.assert_allclose(sweep.g2, fock.g2, rtol=bound, atol=0)
+            closed = coherence_grid(state, params.b, params.c, taus).g2
+            np.testing.assert_allclose(sweep.g2, closed, rtol=1e-5, atol=0)
+        assert framed >= 12  # the check is not vacuous
+
+    @pytest.mark.parametrize("nbar, r, amag, phi", [
+        (0.0, 0.0, 1.2, 0.3),  # c = 0: no frame
+        (0.3, 0.4, 0.8, 0.0),  # |beta| = 2.4 is above 0.15 sqrt(N)
+        (0.2, 0.3, 0.0, 0.0),  # N = 79 is not above dim
+    ])
+    def test_states_the_rule_keeps_sweep_as_oracle_sweep(self, nbar, r, amag, phi):
+        # bit for bit, so the CLI prints the bytes it printed before the frame
+        state = GaussianStateParams(alpha=from_polar(amag, phi), xi=SqueezeParam(r, 0.0),
+                                    nbar=nbar)
+        params = hamiltonian_from_state(GenerationSpec(state=state, t=1.0))
+        taus = np.linspace(0.0, 1.0, 5)
+        sweep, solved = self._recorded_sweep(state, params, taus, 120)
+        fock = oracle_sweep(gaussian_rho(state, 120), params, taus)
+        assert [kind for _, kind in solved] == ["complex"]
+        assert sweep.g2.tolist() == fock.g2.tolist()
+        assert (sweep.mean_0, sweep.floor, sweep.leakage, sweep.working_dim) == (
+            fock.mean_0, fock.floor, fock.leakage, fock.working_dim)
 
 
 class TestConvergenceCheck:

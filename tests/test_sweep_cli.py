@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from g2tau import HamiltonianParams, UndefinedCoherenceError, g2_oracle
-from g2tau import fock_oracle, gaussian_rho, sweep_cli
-from g2tau.fock_oracle import _WORKING_DIM_CAP, LEAKAGE_TOL, TruncationError, oracle_sweep
+from g2tau import fock_oracle, sweep_cli
+from g2tau.fock_oracle import _WORKING_DIM_CAP, LEAKAGE_TOL, TruncationError, sweep_state
 from g2tau.param_map import GenerationSpec, hamiltonian_from_state
 from g2tau.sweep_cli import (
     EXIT_COMPARE,
@@ -172,13 +172,13 @@ class TestRunSweep:
                              "--tau-max", "0.5", "--steps", "2")
         params = hamiltonian_from_state(GenerationSpec(state=config.state, t=1.0))
         grid = _evaluate(config)[1]
-        sweep = oracle_sweep(gaussian_rho(config.state, 80), params, grid.tau)
+        sweep = sweep_state(config.state, params, grid.tau, 80)
         assert grid.g2.tolist() == sweep.g2.tolist()
         assert grid.mean_n.tolist() == sweep.mean_n.tolist()
         # the sweep's shared working basis and one-point calls agree to roundoff
         for tau, g2, mean_n in zip(grid.tau, grid.g2, grid.mean_n):
             one_point_g2 = g2_oracle(config.state, params, tau, 80)
-            one_point_mean = oracle_sweep(gaussian_rho(config.state, 80), params, [tau]).mean_n[0]
+            one_point_mean = sweep_state(config.state, params, [tau], 80).mean_n[0]
             assert abs(g2 - one_point_g2) <= 1e-12 * abs(one_point_g2)
             assert abs(mean_n - one_point_mean) <= 1e-12 * abs(one_point_mean)
 
@@ -288,10 +288,10 @@ class TestCompareVerdict:
     ])
     def test_verdict_bounds(self, figures, converged, monkeypatch):
         # each figure of the sweep at or just inside its bound
-        def sweep_at(rho, params, taus):
-            return dataclasses.replace(oracle_sweep(rho, params, taus), **figures)
+        def sweep_at(state, params, taus, dim):
+            return dataclasses.replace(sweep_state(state, params, taus, dim), **figures)
 
-        monkeypatch.setattr(sweep_cli, "oracle_sweep", sweep_at)
+        monkeypatch.setattr(sweep_cli, "sweep_state", sweep_at)
         report = _evaluate(config_from("--nbar", "0.4", "--r", "0.3", "--mode", "compare",
                                        "--steps", "3"))[3]
         assert report.convergence.converged is converged
@@ -302,14 +302,14 @@ class TestCompareVerdict:
     def test_zero_oracle_g2_prints_no_warning(self, output_format, monkeypatch, capsys):
         # a zero oracle g2 makes the relative error infinite, quietly; JSON
         # writes it as null, since Infinity is not JSON
-        def zero_numerator(rho, params, taus):
-            sweep = oracle_sweep(rho, params, taus)
+        def zero_numerator(state, params, taus, dim):
+            sweep = sweep_state(state, params, taus, dim)
             return dataclasses.replace(sweep, numerator=np.zeros_like(sweep.numerator))
 
         def refuse(constant):
             raise ValueError(f"not JSON: {constant}")
 
-        monkeypatch.setattr(sweep_cli, "oracle_sweep", zero_numerator)
+        monkeypatch.setattr(sweep_cli, "sweep_state", zero_numerator)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["--nbar", "0.4", "--mode", "compare", "--steps", "2",
